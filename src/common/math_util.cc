@@ -8,7 +8,10 @@
 namespace mope {
 
 double LogFactorial(uint64_t n) {
-  return std::lgamma(static_cast<double>(n) + 1.0);
+  // lgamma_r, not std::lgamma: std::lgamma stores the sign in the global
+  // `signgam`, a data race when threads share an OpeScheme.
+  int sign = 0;
+  return ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
 }
 
 double LogBinomial(uint64_t n, uint64_t k) {

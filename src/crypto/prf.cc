@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/status.h"
+
 namespace mope::crypto {
 
 Block Prf::Eval(const uint8_t* data, size_t len) const {
@@ -28,14 +30,17 @@ Block Prf::Eval(const uint8_t* data, size_t len) const {
 }
 
 TagBuilder& TagBuilder::AppendU64(uint64_t v) {
+  MOPE_CHECK(kCapacity - size_ >= 8, "PRF tag exceeds its fixed capacity");
   for (int i = 0; i < 8; ++i) {
-    bytes_.push_back(static_cast<uint8_t>(v >> (56 - 8 * i)));
+    bytes_[size_++] = static_cast<uint8_t>(v >> (56 - 8 * i));
   }
   return *this;
 }
 
 TagBuilder& TagBuilder::AppendBytes(const uint8_t* data, size_t len) {
-  bytes_.insert(bytes_.end(), data, data + len);
+  MOPE_CHECK(kCapacity - size_ >= len, "PRF tag exceeds its fixed capacity");
+  if (len > 0) std::memcpy(bytes_.data() + size_, data, len);
+  size_ += len;
   return *this;
 }
 

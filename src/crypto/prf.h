@@ -14,7 +14,10 @@
 /// (domain interval, range interval, pivot), the PRF maps it to 16 bytes,
 /// and those bytes seed a CTR DRBG (see drbg.h).
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "crypto/aes.h"
@@ -38,18 +41,26 @@ class Prf {
 
 /// Incremental builder for PRF tags: appends integers in a fixed-width
 /// big-endian encoding so that structurally different tags never collide.
+/// Tags live in a fixed inline buffer (the largest, an OPE split-node tag,
+/// is a label plus four words), so building one never touches the heap.
 class TagBuilder {
  public:
-  /// Starts a tag with a single-byte domain-separation label.
-  explicit TagBuilder(uint8_t label) { bytes_.push_back(label); }
+  static constexpr size_t kCapacity = 1 + 4 * 8;
 
+  /// Starts a tag with a single-byte domain-separation label.
+  explicit TagBuilder(uint8_t label) { bytes_[size_++] = label; }
+
+  /// Appending past kCapacity is a programming error and aborts.
   TagBuilder& AppendU64(uint64_t v);
   TagBuilder& AppendBytes(const uint8_t* data, size_t len);
 
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  const uint8_t* data() const { return bytes_.data(); }
+  size_t size() const { return size_; }
+  std::span<const uint8_t> bytes() const { return {bytes_.data(), size_}; }
 
  private:
-  std::vector<uint8_t> bytes_;
+  std::array<uint8_t, kCapacity> bytes_{};
+  size_t size_ = 0;
 };
 
 }  // namespace mope::crypto

@@ -1,5 +1,6 @@
 #include "ope/ope.h"
 
+#include <algorithm>
 #include <string>
 
 #include "crypto/drbg.h"
@@ -48,7 +49,6 @@ OpeScheme::OpeScheme(const OpeParams& params, const OpeKey& key,
   encrypt_calls_ = registry->GetCounter("ope.encrypt_calls");
   decrypt_calls_ = registry->GetCounter("ope.decrypt_calls");
   hgd_draws_ = registry->GetCounter("ope.hgd_draws");
-  recursion_depth_ = registry->GetHistogram("ope.recursion_depth");
 }
 
 Result<OpeScheme> OpeScheme::Create(const OpeParams& params, const OpeKey& key,
@@ -61,7 +61,12 @@ Result<OpeScheme> OpeScheme::Create(const OpeParams& params, const OpeKey& key,
         "OPE range (" + std::to_string(params.range) +
         ") must be at least the domain (" + std::to_string(params.domain) + ")");
   }
-  return OpeScheme(params, key, registry);
+  OpeScheme scheme(params, key, registry);
+  if (params.domain <= kMaxTableDomain) {
+    MOPE_ASSIGN_OR_RETURN(Table table, scheme.BuildTable());
+    scheme.table_ = std::make_shared<const Table>(std::move(table));
+  }
+  return scheme;
 }
 
 Result<uint64_t> OpeScheme::SampleSplit(uint64_t dlo, uint64_t m_count,
@@ -71,7 +76,7 @@ Result<uint64_t> OpeScheme::SampleSplit(uint64_t dlo, uint64_t m_count,
   obs::BumpTraceCounter("ope.hgd_draws");
   crypto::TagBuilder tag(kSplitLabel);
   tag.AppendU64(dlo).AppendU64(m_count).AppendU64(rlo).AppendU64(n_count);
-  const crypto::Block seed = prf_.Eval(tag.bytes());
+  const crypto::Block seed = prf_.Eval(tag.data(), tag.size());
   crypto::CtrDrbg coins(seed);
   mope::BoundedBitSource bounded(&coins, kCoinBudget);
   return crypto::HgdSample(n_count, m_count, draws, &bounded);
@@ -81,7 +86,7 @@ Result<uint64_t> OpeScheme::LeafCiphertext(uint64_t dlo, uint64_t rlo,
                                            uint64_t n_count) const {
   crypto::TagBuilder tag(kLeafLabel);
   tag.AppendU64(dlo).AppendU64(rlo).AppendU64(n_count);
-  const crypto::Block seed = prf_.Eval(tag.bytes());
+  const crypto::Block seed = prf_.Eval(tag.data(), tag.size());
   crypto::CtrDrbg coins(seed);
   mope::BoundedBitSource bounded(&coins, kCoinBudget);
   const uint64_t offset = bounded.UniformUint64(n_count);
@@ -89,6 +94,64 @@ Result<uint64_t> OpeScheme::LeafCiphertext(uint64_t dlo, uint64_t rlo,
     return Status::Internal("leaf coin stream exhausted");
   }
   return rlo + offset;
+}
+
+template <typename Enter, typename OnLeaf>
+Status OpeScheme::Walk(const Node& node, Enter& enter, OnLeaf& on_leaf) const {
+  if (node.m_count == 0) return Status::OK();
+  if (node.m_count == 1) {
+    MOPE_ASSIGN_OR_RETURN(const uint64_t c,
+                          LeafCiphertext(node.dlo, node.rlo, node.n_count));
+    on_leaf(node.dlo, c);
+    return Status::OK();
+  }
+  const uint64_t draws = node.n_count / 2;
+  MOPE_ASSIGN_OR_RETURN(
+      const uint64_t x,
+      SampleSplit(node.dlo, node.m_count, node.rlo, node.n_count, draws));
+  const Node left{node.dlo, x, node.rlo, draws};
+  const Node right{node.dlo + x, node.m_count - x, node.rlo + draws,
+                   node.n_count - draws};
+  if (enter(left)) MOPE_RETURN_NOT_OK(Walk(left, enter, on_leaf));
+  if (enter(right)) MOPE_RETURN_NOT_OK(Walk(right, enter, on_leaf));
+  return Status::OK();
+}
+
+Result<OpeScheme::Table> OpeScheme::BuildTable() const {
+  Table table;
+  table.reserve(params_.domain);
+  auto enter = [](const Node&) { return true; };
+  auto on_leaf = [&](uint64_t, uint64_t c) { table.push_back(c); };
+  MOPE_RETURN_NOT_OK(Walk(Root(), enter, on_leaf));
+  return table;
+}
+
+Result<OpeScheme::Landing> OpeScheme::Locate(uint64_t c) const {
+  if (c >= params_.range) {
+    return Status::OutOfRange("ciphertext " + std::to_string(c) +
+                              " outside range of size " +
+                              std::to_string(params_.range));
+  }
+  decrypt_calls_->Increment();
+  obs::BumpTraceCounter("ope.decrypt_calls");
+  if (table_ != nullptr) {
+    const auto it = std::lower_bound(table_->begin(), table_->end(), c);
+    return Landing{static_cast<uint64_t>(it - table_->begin()),
+                   it != table_->end() && *it == c};
+  }
+  // Descend into the child whose ciphertexts hold c. A child with no
+  // plaintexts ends the walk: the first plaintext above c is its dlo.
+  Landing landing;
+  auto enter = [&](const Node& child) {
+    if (c < child.rlo || c - child.rlo >= child.n_count) return false;
+    landing.index = child.dlo;
+    return true;
+  };
+  auto on_leaf = [&](uint64_t m, uint64_t leaf) {
+    landing = Landing{leaf >= c ? m : m + 1, leaf == c};
+  };
+  MOPE_RETURN_NOT_OK(Walk(Root(), enter, on_leaf));
+  return landing;
 }
 
 Result<uint64_t> OpeScheme::Encrypt(uint64_t m) const {
@@ -99,100 +162,27 @@ Result<uint64_t> OpeScheme::Encrypt(uint64_t m) const {
   }
   encrypt_calls_->Increment();
   obs::BumpTraceCounter("ope.encrypt_calls");
-  uint64_t depth = 0;
-  uint64_t dlo = 0, m_count = params_.domain;
-  uint64_t rlo = 0, n_count = params_.range;
-  while (m_count > 1) {
-    ++depth;
-    const uint64_t draws = n_count / 2;
-    MOPE_ASSIGN_OR_RETURN(const uint64_t x,
-                          SampleSplit(dlo, m_count, rlo, n_count, draws));
-    if (m < dlo + x) {
-      m_count = x;
-      n_count = draws;
-    } else {
-      dlo += x;
-      m_count -= x;
-      rlo += draws;
-      n_count -= draws;
-    }
-  }
-  recursion_depth_->Observe(depth);
-  return LeafCiphertext(dlo, rlo, n_count);
+  if (table_ != nullptr) return (*table_)[m];
+  uint64_t cipher = 0;
+  auto enter = [m](const Node& child) {
+    return m >= child.dlo && m - child.dlo < child.m_count;
+  };
+  auto on_leaf = [&](uint64_t, uint64_t c) { cipher = c; };
+  MOPE_RETURN_NOT_OK(Walk(Root(), enter, on_leaf));
+  return cipher;
 }
 
 Result<uint64_t> OpeScheme::Decrypt(uint64_t c) const {
-  if (c >= params_.range) {
-    return Status::OutOfRange("ciphertext " + std::to_string(c) +
-                              " outside range of size " +
-                              std::to_string(params_.range));
-  }
-  decrypt_calls_->Increment();
-  obs::BumpTraceCounter("ope.decrypt_calls");
-  uint64_t dlo = 0, m_count = params_.domain;
-  uint64_t rlo = 0, n_count = params_.range;
-  while (m_count > 1) {
-    const uint64_t draws = n_count / 2;
-    MOPE_ASSIGN_OR_RETURN(const uint64_t x,
-                          SampleSplit(dlo, m_count, rlo, n_count, draws));
-    if (c < rlo + draws) {
-      if (x == 0) {
-        return Status::Corruption("ciphertext maps to an empty OPF branch");
-      }
-      m_count = x;
-      n_count = draws;
-    } else {
-      if (x == m_count) {
-        return Status::Corruption("ciphertext maps to an empty OPF branch");
-      }
-      dlo += x;
-      m_count -= x;
-      rlo += draws;
-      n_count -= draws;
-    }
-  }
-  MOPE_ASSIGN_OR_RETURN(const uint64_t leaf, LeafCiphertext(dlo, rlo, n_count));
-  if (leaf != c) {
+  MOPE_ASSIGN_OR_RETURN(const Landing landing, Locate(c));
+  if (!landing.exact) {
     return Status::Corruption("ciphertext is not in the image of the OPF");
   }
-  return dlo;
+  return landing.index;
 }
 
 Result<uint64_t> OpeScheme::DecryptFloorCeil(uint64_t c) const {
-  if (c >= params_.range) {
-    return Status::OutOfRange("ciphertext " + std::to_string(c) +
-                              " outside range of size " +
-                              std::to_string(params_.range));
-  }
-  decrypt_calls_->Increment();
-  obs::BumpTraceCounter("ope.decrypt_calls");
-  uint64_t dlo = 0, m_count = params_.domain;
-  uint64_t rlo = 0, n_count = params_.range;
-  while (m_count > 1) {
-    const uint64_t draws = n_count / 2;
-    MOPE_ASSIGN_OR_RETURN(const uint64_t x,
-                          SampleSplit(dlo, m_count, rlo, n_count, draws));
-    if (c < rlo + draws) {
-      if (x == 0) {
-        // Every plaintext of this node encrypts into the right half, above c.
-        return dlo;
-      }
-      m_count = x;
-      n_count = draws;
-    } else {
-      if (x == m_count) {
-        // Every plaintext of this node encrypts below c; answer is the next
-        // plaintext after the node (possibly == domain, meaning "none").
-        return dlo + m_count;
-      }
-      dlo += x;
-      m_count -= x;
-      rlo += draws;
-      n_count -= draws;
-    }
-  }
-  MOPE_ASSIGN_OR_RETURN(const uint64_t leaf, LeafCiphertext(dlo, rlo, n_count));
-  return (leaf >= c) ? dlo : dlo + 1;
+  MOPE_ASSIGN_OR_RETURN(const Landing landing, Locate(c));
+  return landing.index;
 }
 
 }  // namespace mope::ope

@@ -81,48 +81,36 @@ void Proxy::UpdateMixHealthLocked() {
 }
 
 Result<std::unique_ptr<Proxy>> Proxy::Create(const ProxyConfig& config,
-                                             const ope::MopeKey& key,
-                                             const ope::OpeParams& params,
+                                             ope::MopeScheme mope,
                                              engine::DbServer* server,
                                              const dist::Distribution* known_q) {
   if (server == nullptr) {
     return Status::InvalidArgument("proxy needs a server");
   }
-  MOPE_RETURN_NOT_OK(ValidateProxyConfig(config, params));
-  MOPE_ASSIGN_OR_RETURN(ope::MopeScheme mope,
-                        ope::MopeScheme::Create(params, key, config.registry));
-
-  auto proxy = std::unique_ptr<Proxy>(
-      new Proxy(config, std::move(mope),
-                std::make_unique<DirectConnection>(server), server));
-
-  // Resolve the key column up front so result filtering is cheap.
-  MOPE_ASSIGN_OR_RETURN(engine::Schema schema,
-                        proxy->connection_->GetSchema(config.table));
-  MOPE_ASSIGN_OR_RETURN(proxy->key_column_index_,
-                        schema.IndexOf(config.column));
-  if (schema.column(proxy->key_column_index_).type !=
-      engine::ValueType::kInt) {
-    return Status::InvalidArgument("encrypted key column must be int");
-  }
-
-  MOPE_RETURN_NOT_OK(proxy->SetupAlgorithm(known_q));
-  return proxy;
+  return Build(config, std::move(mope),
+               std::make_unique<DirectConnection>(server), server, known_q);
 }
 
 Result<std::unique_ptr<Proxy>> Proxy::Create(
-    const ProxyConfig& config, const ope::MopeKey& key,
-    const ope::OpeParams& params, std::unique_ptr<ServerConnection> connection,
+    const ProxyConfig& config, ope::MopeScheme mope,
+    std::unique_ptr<ServerConnection> connection,
     const dist::Distribution* known_q) {
   if (connection == nullptr) {
     return Status::InvalidArgument("proxy needs a server connection");
   }
-  MOPE_RETURN_NOT_OK(ValidateProxyConfig(config, params));
-  MOPE_ASSIGN_OR_RETURN(ope::MopeScheme mope,
-                        ope::MopeScheme::Create(params, key, config.registry));
+  return Build(config, std::move(mope), std::move(connection), nullptr,
+               known_q);
+}
 
+Result<std::unique_ptr<Proxy>> Proxy::Build(
+    const ProxyConfig& config, ope::MopeScheme mope,
+    std::unique_ptr<ServerConnection> connection, engine::DbServer* server,
+    const dist::Distribution* known_q) {
+  MOPE_RETURN_NOT_OK(ValidateProxyConfig(config, mope.params()));
   auto proxy = std::unique_ptr<Proxy>(
-      new Proxy(config, std::move(mope), std::move(connection), nullptr));
+      new Proxy(config, std::move(mope), std::move(connection), server));
+
+  // Resolve the key column up front so result filtering is cheap.
   MOPE_ASSIGN_OR_RETURN(engine::Schema schema,
                         proxy->connection_->GetSchema(config.table));
   MOPE_ASSIGN_OR_RETURN(proxy->key_column_index_,

@@ -84,21 +84,22 @@ struct QueryResponse {
 
 class Proxy {
  public:
-  /// Builds a proxy over an embedded server's table. For the non-adaptive
-  /// modes `known_q` must provide the query-start distribution; adaptive
-  /// modes ignore it and learn from the stream.
+  /// Builds a proxy over an embedded server's table, encrypting with
+  /// `mope` (whose params must match the config's domain). Callers that hold
+  /// only a key call ope::MopeScheme::Create first; a scheme already built to
+  /// load the data is passed here as is, so its table is built once. For the
+  /// non-adaptive modes `known_q` must provide the query-start distribution;
+  /// adaptive modes ignore it and learn from the stream.
   static Result<std::unique_ptr<Proxy>> Create(
-      const ProxyConfig& config, const ope::MopeKey& key,
-      const ope::OpeParams& params, engine::DbServer* server,
-      const dist::Distribution* known_q = nullptr);
+      const ProxyConfig& config, ope::MopeScheme mope,
+      engine::DbServer* server, const dist::Distribution* known_q = nullptr);
 
   /// Builds a proxy over an arbitrary server connection (e.g. a failure-
   /// injecting test double, or a remote transport). Key rotation is not
   /// available through this form — it needs maintenance access to the
   /// embedded server.
   static Result<std::unique_ptr<Proxy>> Create(
-      const ProxyConfig& config, const ope::MopeKey& key,
-      const ope::OpeParams& params,
+      const ProxyConfig& config, ope::MopeScheme mope,
       std::unique_ptr<ServerConnection> connection,
       const dist::Distribution* known_q = nullptr);
 
@@ -164,6 +165,13 @@ class Proxy {
   Proxy(const ProxyConfig& config, ope::MopeScheme mope,
         std::unique_ptr<ServerConnection> connection,
         engine::DbServer* server);
+
+  /// The construction path both Create forms share; `server` is null for a
+  /// custom connection.
+  static Result<std::unique_ptr<Proxy>> Build(
+      const ProxyConfig& config, ope::MopeScheme mope,
+      std::unique_ptr<ServerConnection> connection, engine::DbServer* server,
+      const dist::Distribution* known_q);
 
   /// Instantiates the configured query algorithm. Create-time only, before
   /// the proxy is visible to any other thread.

@@ -68,11 +68,12 @@ Status MopeSystem::LoadTable(const std::string& name, engine::Schema schema,
   config.registry = metrics_.get();
   auto proxy = [&]() -> Result<std::unique_ptr<Proxy>> {
     if (!connection_factory_) {
-      return Proxy::Create(config, key, params, &server_, known_q);
+      return Proxy::Create(config, std::move(scheme), &server_, known_q);
     }
     MOPE_ASSIGN_OR_RETURN(std::unique_ptr<ServerConnection> connection,
                           connection_factory_());
-    return Proxy::Create(config, key, params, std::move(connection), known_q);
+    return Proxy::Create(config, std::move(scheme), std::move(connection),
+                         known_q);
   }();
   if (!proxy.ok()) {
     MOPE_RETURN_NOT_OK(server_.catalog()->DropTable(name));
@@ -104,6 +105,8 @@ Status MopeSystem::AttachRemoteTable(const std::string& name,
   // Same draw order as LoadTable: key first, proxy seed second.
   const ope::OpeParams params{spec.domain, ope::SuggestRange(spec.domain)};
   const ope::MopeKey key = ope::MopeKey::Generate(spec.domain, &rng_);
+  MOPE_ASSIGN_OR_RETURN(ope::MopeScheme scheme,
+                        ope::MopeScheme::Create(params, key, metrics_.get()));
 
   ProxyConfig config;
   config.table = name;
@@ -117,7 +120,7 @@ Status MopeSystem::AttachRemoteTable(const std::string& name,
   config.registry = metrics_.get();
   MOPE_ASSIGN_OR_RETURN(
       std::unique_ptr<Proxy> proxy,
-      Proxy::Create(config, key, params, std::move(connection), known_q));
+      Proxy::Create(config, std::move(scheme), std::move(connection), known_q));
   proxies_[name + "." + spec.column] = std::move(proxy);
   return Status::OK();
 }

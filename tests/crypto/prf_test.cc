@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 namespace mope::crypto {
@@ -67,7 +68,7 @@ TEST(PrfTest, OutputsLookDistinct) {
   for (uint64_t i = 0; i < 1000; ++i) {
     TagBuilder tag(0x01);
     tag.AppendU64(i);
-    seen.insert(prf.Eval(tag.bytes()));
+    seen.insert(prf.Eval(tag.data(), tag.size()));
   }
   EXPECT_EQ(seen.size(), 1000u);
 }
@@ -86,7 +87,7 @@ TEST(TagBuilderTest, StructurallyDifferentTagsDiffer) {
   TagBuilder a(0x01), b(0x02);
   a.AppendU64(5);
   b.AppendU64(5);
-  EXPECT_NE(a.bytes(), b.bytes());
+  EXPECT_FALSE(std::ranges::equal(a.bytes(), b.bytes()));
 }
 
 TEST(TagBuilderTest, AppendBytes) {
@@ -95,6 +96,13 @@ TEST(TagBuilderTest, AppendBytes) {
   tag.AppendBytes(data, 3);
   EXPECT_EQ(tag.bytes().size(), 4u);
   EXPECT_EQ(tag.bytes()[3], 9);
+}
+
+TEST(TagBuilderTest, HoldsALabelAndFourWordsInline) {
+  TagBuilder tag(0x53);
+  tag.AppendU64(1).AppendU64(2).AppendU64(3).AppendU64(4);
+  EXPECT_EQ(tag.size(), TagBuilder::kCapacity);
+  EXPECT_EQ(tag.bytes()[TagBuilder::kCapacity - 1], 4);
 }
 
 }  // namespace

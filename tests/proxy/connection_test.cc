@@ -53,14 +53,19 @@ struct Fixture {
     EXPECT_TRUE(table.ok());
     key = ope::MopeKey::Generate(kDomain, &rng);
     params = ope::OpeParams{kDomain, ope::SuggestRange(kDomain)};
-    auto scheme = ope::MopeScheme::Create(params, key);
-    EXPECT_TRUE(scheme.ok());
+    const ope::MopeScheme scheme = Scheme();
     for (uint64_t v = 0; v < kDomain; ++v) {
       EXPECT_TRUE((*table)->Insert({static_cast<int64_t>(
-                                       scheme->Encrypt(v).value())})
+                                       scheme.Encrypt(v).value())})
                       .ok());
     }
     EXPECT_TRUE((*table)->CreateIndex("key").ok());
+  }
+
+  ope::MopeScheme Scheme() const {
+    auto scheme = ope::MopeScheme::Create(params, key);
+    EXPECT_TRUE(scheme.ok()) << scheme.status();
+    return std::move(scheme).value();
   }
 
   ProxyConfig Config(uint32_t retries) const {
@@ -96,7 +101,7 @@ TEST(ConnectionTest, ProxyRetriesTransientFailures) {
   Fixture fx;
   auto flaky = std::make_unique<FlakyConnection>(&fx.server, 2);
   FlakyConnection* flaky_raw = flaky.get();
-  auto proxy = Proxy::Create(fx.Config(/*retries=*/3), fx.key, fx.params,
+  auto proxy = Proxy::Create(fx.Config(/*retries=*/3), fx.Scheme(),
                              std::move(flaky));
   ASSERT_TRUE(proxy.ok()) << proxy.status();
   auto resp = (*proxy)->ExecuteRange({10, 13});
@@ -108,7 +113,7 @@ TEST(ConnectionTest, ProxyRetriesTransientFailures) {
 
 TEST(ConnectionTest, ProxyGivesUpAfterMaxRetries) {
   Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(/*retries=*/1), fx.key, fx.params,
+  auto proxy = Proxy::Create(fx.Config(/*retries=*/1), fx.Scheme(),
                              std::make_unique<FlakyConnection>(&fx.server, 5));
   ASSERT_TRUE(proxy.ok());
   auto resp = (*proxy)->ExecuteRange({10, 13});
@@ -118,7 +123,7 @@ TEST(ConnectionTest, ProxyGivesUpAfterMaxRetries) {
 
 TEST(ConnectionTest, ZeroRetriesFailsImmediately) {
   Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(/*retries=*/0), fx.key, fx.params,
+  auto proxy = Proxy::Create(fx.Config(/*retries=*/0), fx.Scheme(),
                              std::make_unique<FlakyConnection>(&fx.server, 1));
   ASSERT_TRUE(proxy.ok());
   EXPECT_FALSE((*proxy)->ExecuteRange({10, 13}).ok());
@@ -126,7 +131,7 @@ TEST(ConnectionTest, ZeroRetriesFailsImmediately) {
 
 TEST(ConnectionTest, RotationUnavailableOverCustomConnection) {
   Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(0), fx.key, fx.params,
+  auto proxy = Proxy::Create(fx.Config(0), fx.Scheme(),
                              std::make_unique<FlakyConnection>(&fx.server, 0));
   ASSERT_TRUE(proxy.ok());
   Rng rng(1);
@@ -138,7 +143,7 @@ TEST(ConnectionTest, RetriedBatchesDoNotDuplicateRows) {
   // but a retry after a *successful* send must not double rows; the seen-set
   // dedup guards both cases). Exercise retries with overlapping queries.
   Fixture fx;
-  auto proxy = Proxy::Create(fx.Config(/*retries=*/5), fx.key, fx.params,
+  auto proxy = Proxy::Create(fx.Config(/*retries=*/5), fx.Scheme(),
                              std::make_unique<FlakyConnection>(&fx.server, 3));
   ASSERT_TRUE(proxy.ok());
   auto resp = (*proxy)->ExecuteRange({0, 15});
