@@ -7,15 +7,22 @@
 ///     interval varies. sync_every=1 fsyncs per insert (the durability
 ///     ceiling), larger groups amortize it, 0 defers every fsync to one
 ///     final Sync — the gap between the rows IS the fsync cost.
-///  2. "scan": full-range scan latency over an on-disk B+-tree as the
-///     buffer pool shrinks from fits-everything to 8 frames, cold and
-///     warm. The warm pass shows the pool's hit rate doing its job; the
-///     cold pass shows what a page miss costs.
+///  2. "heap_scan": full TableHeap::Scan latency over an on-disk heap as
+///     the buffer pool shrinks from fits-everything to 8 frames. The cold
+///     pass is what a restart pays (TableHeap::Open walks the chain, then
+///     Scan reads every record through a fresh pool — the recovery
+///     pattern); the warm pass is a second Scan, showing the pool's hit
+///     rate doing its job.
 ///  3. "recovery": WAL replay time for a crash-state directory — the
 ///     price of restarting without a checkpoint.
+///
+/// Wall-time rows carry "ms". Next to them, rows with a deterministic
+/// count in "value" (WAL syncs, pool misses, page writes) give
+/// tools/bench_compare.py something to gate that host noise cannot move.
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <unistd.h>
@@ -24,10 +31,11 @@
 #include "engine/durability.h"
 #include "engine/table.h"
 #include "obs/registry.h"
-#include "storage/btree_file.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/env.h"
+#include "storage/table_heap.h"
+#include "storage/wal_logger.h"
 
 namespace mope {
 namespace {
@@ -43,7 +51,7 @@ std::string ScratchDir() {
 
 void WipeDir(const std::string& dir) {
   storage::Env* env = storage::Env::Posix();
-  for (const char* f : {"pages.db", "wal.log", "storage.meta", "tree.db"}) {
+  for (const char* f : {"pages.db", "wal.log", "storage.meta"}) {
     const std::string path = dir + "/" + f;
     if (env->FileExists(path)) {
       MOPE_CHECK(env->RemoveFile(path).ok(), "cannot wipe scratch file");
@@ -104,90 +112,104 @@ void RunWalFsyncSweep(const std::string& dir, bench::JsonReport* report) {
         .Field("sync_every", sync_every)
         .Field("rows", kRows)
         .Field("ms", ms);
+    report->BeginRow()
+        .Field("case", "wal_fsync_syncs")
+        .Field("sync_every", sync_every)
+        .Field("rows", kRows)
+        .Field("value", syncs);
   }
 }
 
-/// Experiment 2: range-scan latency vs buffer pool size, cold and warm.
-void RunScanSweep(const std::string& dir, bench::JsonReport* report) {
-  constexpr uint64_t kEntries = 60000;
+/// Experiment 2: heap-scan latency vs buffer pool size, cold and warm.
+void RunHeapScanSweep(const std::string& dir, bench::JsonReport* report) {
+  constexpr uint64_t kRecords = 60000;
   WipeDir(dir);
-  const std::string tree_path = dir + "/tree.db";
+  const std::string pages_path = dir + "/pages.db";
+  // No WAL: this experiment measures the pool, not durability.
+  storage::WalLogger no_wal(nullptr);
+  const auto no_sync = [](uint64_t) { return Status::OK(); };
 
-  // Build the tree once and flush it to disk; every pool size then reopens
+  // Build the heap once and flush it to disk; every pool size then reopens
   // the same file.
-  storage::PageId root = storage::kInvalidPageId;
+  storage::PageId head = storage::kInvalidPageId;
+  uint64_t heap_pages = 0;
   {
     obs::MetricsRegistry metrics;
-    auto disk = storage::DiskManager::Open(storage::Env::Posix(), tree_path,
+    auto disk = storage::DiskManager::Open(storage::Env::Posix(), pages_path,
                                            &metrics);
-    MOPE_CHECK(disk.ok(), "open tree file");
-    storage::BufferPool pool(
-        disk->get(), 4096, [](uint64_t) { return Status::OK(); }, &metrics);
-    auto tree = storage::BTreeFile::Open(&pool, storage::kInvalidPageId);
-    MOPE_CHECK(tree.ok(), "open tree");
-    for (uint64_t i = 0; i < kEntries; ++i) {
-      MOPE_CHECK((*tree)->Insert(i * 2654435761u % (1u << 24), i).ok(),
-                 "tree insert");
+    MOPE_CHECK(disk.ok(), "open page file");
+    storage::BufferPool pool(disk->get(), 4096, no_sync, &metrics);
+    auto heap = storage::TableHeap::Open(&pool, &no_wal,
+                                         storage::kInvalidPageId);
+    MOPE_CHECK(heap.ok(), "create heap");
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      const std::string record = "record-" + std::to_string(i) +
+                                 std::string(48, 'x');
+      MOPE_CHECK((*heap)->Append(record).ok(), "heap append");
     }
-    root = (*tree)->root();
-    MOPE_CHECK(pool.FlushAll().ok(), "flush tree");
-    MOPE_CHECK((*disk)->Sync().ok(), "sync tree");
+    head = (*heap)->head();
+    heap_pages = (*disk)->page_count();
+    MOPE_CHECK(pool.FlushAll().ok(), "flush heap");
+    MOPE_CHECK((*disk)->Sync().ok(), "sync heap");
   }
 
-  std::printf("\nFull-range scan latency vs buffer pool size (%llu entries, "
-              "~%llu leaf pages):\n\n",
-              static_cast<unsigned long long>(kEntries),
-              static_cast<unsigned long long>(kEntries / 254));
+  std::printf("\nFull heap scan latency vs buffer pool size (%llu records, "
+              "%llu heap pages):\n\n",
+              static_cast<unsigned long long>(kRecords),
+              static_cast<unsigned long long>(heap_pages));
   bench::TablePrinter table(
-      {"frames", "cold scan", "warm scan", "warm hit %"});
+      {"frames", "cold scan", "warm scan", "cold misses", "warm misses"});
 
   for (const size_t frames : {size_t{8}, size_t{64}, size_t{256},
                               size_t{4096}}) {
     obs::MetricsRegistry metrics;
-    auto disk = storage::DiskManager::Open(storage::Env::Posix(), tree_path,
+    obs::Counter* misses = metrics.GetCounter("storage.pool.misses");
+    auto disk = storage::DiskManager::Open(storage::Env::Posix(), pages_path,
                                            &metrics);
-    MOPE_CHECK(disk.ok(), "reopen tree file");
-    storage::BufferPool pool(
-        disk->get(), frames, [](uint64_t) { return Status::OK(); }, &metrics);
-    auto tree = storage::BTreeFile::Open(&pool, root);
-    MOPE_CHECK(tree.ok(), "reopen tree");
+    MOPE_CHECK(disk.ok(), "reopen page file");
+    storage::BufferPool pool(disk->get(), frames, no_sync, &metrics);
 
-    const auto scan_all = [&]() -> double {
-      bench::Stopwatch watch;
+    bench::Stopwatch cold_watch;
+    auto heap = storage::TableHeap::Open(&pool, &no_wal, head);
+    MOPE_CHECK(heap.ok(), "reopen heap");
+    const auto scan_all = [&heap] {
       uint64_t seen = 0;
-      auto n = (*tree)->ScanRange(0, ~uint64_t{0},
-                                  [&seen](uint64_t, uint64_t) { ++seen; });
-      MOPE_CHECK(n.ok() && seen == kEntries, "scan mismatch");
-      return watch.ElapsedMs();
+      MOPE_CHECK((*heap)
+                     ->Scan([&seen](storage::RecordId, std::string_view) {
+                       ++seen;
+                       return Status::OK();
+                     })
+                     .ok(),
+                 "heap scan");
+      MOPE_CHECK(seen == kRecords, "heap scan mismatch");
     };
+    scan_all();
+    const double cold_ms = cold_watch.ElapsedMs();
+    const uint64_t cold_misses = misses->Value();
 
-    const double cold_ms = scan_all();
-    const uint64_t hits_before = metrics.GetCounter("storage.pool.hits")->Value();
-    const uint64_t misses_before =
-        metrics.GetCounter("storage.pool.misses")->Value();
-    const double warm_ms = scan_all();
-    const uint64_t hits =
-        metrics.GetCounter("storage.pool.hits")->Value() - hits_before;
-    const uint64_t misses =
-        metrics.GetCounter("storage.pool.misses")->Value() - misses_before;
-    const double hit_pct =
-        100.0 * static_cast<double>(hits) /
-        static_cast<double>(hits + misses == 0 ? 1 : hits + misses);
+    bench::Stopwatch warm_watch;
+    scan_all();
+    const double warm_ms = warm_watch.ElapsedMs();
+    const uint64_t warm_misses = misses->Value() - cold_misses;
 
     table.Row({std::to_string(frames), bench::FmtMs(cold_ms),
-               bench::FmtMs(warm_ms), bench::Fmt(hit_pct, 1)});
-    report->BeginRow()
-        .Field("case", "scan_cold")
-        .Field("frames", static_cast<uint64_t>(frames))
-        .Field("entries", kEntries)
-        .Field("ms", cold_ms);
-    // Hit rate stays out of the JSON: bench_compare treats "value" as
-    // higher-is-worse, and a hit percentage regresses by shrinking.
-    report->BeginRow()
-        .Field("case", "scan_warm")
-        .Field("frames", static_cast<uint64_t>(frames))
-        .Field("entries", kEntries)
-        .Field("ms", warm_ms);
+               bench::FmtMs(warm_ms), std::to_string(cold_misses),
+               std::to_string(warm_misses)});
+    const auto emit = [&](const std::string& pass, double ms,
+                          uint64_t pool_misses) {
+      report->BeginRow()
+          .Field("case", "heap_scan_" + pass)
+          .Field("frames", static_cast<uint64_t>(frames))
+          .Field("records", kRecords)
+          .Field("ms", ms);
+      report->BeginRow()
+          .Field("case", "heap_scan_" + pass + "_misses")
+          .Field("frames", static_cast<uint64_t>(frames))
+          .Field("records", kRecords)
+          .Field("value", pool_misses);
+    };
+    emit("cold", cold_ms, cold_misses);
+    emit("warm", warm_ms, warm_misses);
   }
 }
 
@@ -195,6 +217,7 @@ void RunScanSweep(const std::string& dir, bench::JsonReport* report) {
 void RunRecoveryCost(const std::string& dir, bench::JsonReport* report) {
   constexpr uint64_t kRows = 4000;
   WipeDir(dir);
+  uint64_t seed_page_writes = 0;
   {
     obs::MetricsRegistry metrics;
     engine::Catalog catalog;
@@ -210,6 +233,8 @@ void RunRecoveryCost(const std::string& dir, bench::JsonReport* report) {
       MOPE_CHECK((*table)->Insert(BenchRow(i)).ok(), "insert");
     }
     MOPE_CHECK((*durable)->Sync().ok(), "make the WAL durable");
+    seed_page_writes =
+        metrics.GetCounter("storage.disk.page_writes")->Value();
     // No checkpoint and no clean shutdown: the next Open must replay.
   }
 
@@ -226,14 +251,28 @@ void RunRecoveryCost(const std::string& dir, bench::JsonReport* report) {
   MOPE_CHECK(table.ok() && (*table)->row_count() == kRows,
              "recovery must restore every row");
 
+  const uint64_t recovery_page_writes =
+      metrics.GetCounter("storage.disk.page_writes")->Value();
+
   std::printf("\nCrash recovery: replayed %llu rows (WAL + index rebuild) "
-              "in %s.\n",
+              "in %s. Page writes: %llu to build the crash state, %llu to "
+              "recover it.\n",
               static_cast<unsigned long long>(kRows),
-              bench::FmtMs(ms).c_str());
+              bench::FmtMs(ms).c_str(),
+              static_cast<unsigned long long>(seed_page_writes),
+              static_cast<unsigned long long>(recovery_page_writes));
   report->BeginRow()
       .Field("case", "recovery")
       .Field("rows", kRows)
       .Field("ms", ms);
+  report->BeginRow()
+      .Field("case", "recovery_seed_page_writes")
+      .Field("rows", kRows)
+      .Field("value", seed_page_writes);
+  report->BeginRow()
+      .Field("case", "recovery_page_writes")
+      .Field("rows", kRows)
+      .Field("value", recovery_page_writes);
 }
 
 }  // namespace
@@ -241,12 +280,12 @@ void RunRecoveryCost(const std::string& dir, bench::JsonReport* report) {
 
 int main() {
   mope::bench::PrintHeader("Storage engine",
-                           "WAL fsync cost, buffer pool scan latency, "
+                           "WAL fsync cost, buffer pool heap-scan latency, "
                            "crash recovery replay");
   mope::bench::JsonReport report("storage");
   const std::string dir = mope::ScratchDir();
   mope::RunWalFsyncSweep(dir, &report);
-  mope::RunScanSweep(dir, &report);
+  mope::RunHeapScanSweep(dir, &report);
   mope::RunRecoveryCost(dir, &report);
   mope::WipeDir(dir);
   report.Write();

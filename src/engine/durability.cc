@@ -1,5 +1,6 @@
 #include "engine/durability.h"
 
+#include <set>
 #include <utility>
 
 #include "engine/codec.h"
@@ -44,7 +45,7 @@ Result<Schema> ReadSchema(ByteReader& reader) {
     col.type = static_cast<ValueType>(type);
     columns.push_back(std::move(col));
   }
-  return Schema(std::move(columns));
+  return Schema::Create(std::move(columns));
 }
 
 std::string EncodeRow(const Row& row) {
@@ -74,8 +75,7 @@ Result<Row> DecodeRow(std::string_view bytes) {
 struct TableMeta {
   Schema schema;
   PageId heap_head = kInvalidPageId;
-  // column index -> paged B+-tree root (kInvalidPageId: not checkpointed).
-  std::map<size_t, PageId> index_roots;
+  std::set<size_t> indexed_columns;  // each index is rebuilt from the rows
 };
 
 using TableMetaMap = std::map<std::string, TableMeta>;
@@ -93,8 +93,7 @@ Result<TableMetaMap> DecodeCatalogBlob(const std::string& blob) {
     MOPE_ASSIGN_OR_RETURN(uint64_t n_indexes, reader.U64());
     for (uint64_t i = 0; i < n_indexes; ++i) {
       MOPE_ASSIGN_OR_RETURN(uint64_t col, reader.U64());
-      MOPE_ASSIGN_OR_RETURN(uint64_t root, reader.U64());
-      meta.index_roots[col] = root;
+      meta.indexed_columns.insert(col);
     }
     metas[std::move(name)] = std::move(meta);
   }
@@ -129,17 +128,13 @@ Status ApplyCatalogRecord(const WalRecord& rec, TableMetaMap* metas) {
         return Status::Corruption("create-index record for unknown table '" +
                                   name + "'");
       }
-      it->second.index_roots[col] = kInvalidPageId;  // rebuilt from rows
+      it->second.indexed_columns.insert(col);
       return Status::OK();
     }
     default:
       return Status::Corruption("unknown catalog WAL op " +
                                 std::to_string(op));
   }
-}
-
-uint64_t IndexKey(const Value& v) {
-  return static_cast<uint64_t>(std::get<int64_t>(v));
 }
 
 }  // namespace
@@ -160,9 +155,6 @@ struct DurableCatalog::TableState : TableDurabilityHooks {
     }
     MOPE_ASSIGN_OR_RETURN(RecordId rid, heap->Append(EncodeRow(row)));
     row_rids.push_back(rid);
-    for (auto& [col, btree] : indexes) {
-      MOPE_RETURN_NOT_OK(btree->Insert(IndexKey(row[col]), id));
-    }
     return Status::OK();
   }
 
@@ -172,21 +164,11 @@ struct DurableCatalog::TableState : TableDurabilityHooks {
     }
     MOPE_ASSIGN_OR_RETURN(Table * t, table());
     Row row = t->row(id);  // pre-update contents
-    const auto it = indexes.find(column);
-    if (it != indexes.end()) {
-      MOPE_ASSIGN_OR_RETURN(bool erased,
-                            it->second->Erase(IndexKey(row[column]), id));
-      if (!erased) {
-        return Status::Internal("paged index entry missing during update");
-      }
-      MOPE_RETURN_NOT_OK(it->second->Insert(IndexKey(value), id));
-    }
     row[column] = value;
     return heap->Update(row_rids[id], EncodeRow(row));
   }
 
   Status OnCreateIndex(size_t column) override {
-    MOPE_ASSIGN_OR_RETURN(Table * t, table());
     std::string payload;
     payload.push_back(static_cast<char>(kOpCreateIndex));
     PutString(&payload, name);
@@ -194,20 +176,14 @@ struct DurableCatalog::TableState : TableDurabilityHooks {
     MOPE_RETURN_NOT_OK(
         owner->engine_->logger()->Log(WalRecordType::kCatalog, payload)
             .status());
-    MOPE_ASSIGN_OR_RETURN(
-        std::unique_ptr<storage::BTreeFile> btree,
-        storage::BTreeFile::Open(owner->engine_->pool(), kInvalidPageId));
-    for (RowId id = 0; id < t->row_count(); ++id) {
-      MOPE_RETURN_NOT_OK(btree->Insert(IndexKey(t->row(id)[column]), id));
-    }
-    indexes[column] = std::move(btree);
+    indexed_columns.insert(column);
     return Status::OK();
   }
 
   DurableCatalog* const owner;
   const std::string name;
   std::unique_ptr<storage::TableHeap> heap;
-  std::map<size_t, std::unique_ptr<storage::BTreeFile>> indexes;
+  std::set<size_t> indexed_columns;
   std::vector<RecordId> row_rids;  // RowId -> heap record
 };
 
@@ -241,12 +217,11 @@ Result<std::unique_ptr<DurableCatalog>> DurableCatalog::Open(
                         storage::StorageEngine::Open(dir, storage_options));
   std::unique_ptr<DurableCatalog> durable(
       new DurableCatalog(catalog, std::move(engine)));
-  MOPE_RETURN_NOT_OK(durable->Recover(options));
+  MOPE_RETURN_NOT_OK(durable->Recover());
   return durable;
 }
 
-Status DurableCatalog::Recover(const Options& options) {
-  (void)options;
+Status DurableCatalog::Recover() {
   const obs::ScopedSpan span("engine.recovery");
   recovered_from_crash_ = engine_->crash_recovered();
 
@@ -274,27 +249,14 @@ Status DurableCatalog::Recover(const Options& options) {
           state->row_rids.push_back(rid);
           return Status::OK();
         }));
-    for (const auto& [col, root] : meta.index_roots) {
+    // Every index is derived from the rows: one rebuild per recorded
+    // column, the same after a clean shutdown as after a crash.
+    for (const size_t col : meta.indexed_columns) {
       if (col >= meta.schema.num_columns()) {
         return Status::Corruption("durable index on unknown column");
       }
-      // In-memory index: rebuilt from the rows, as always.
-      MOPE_RETURN_NOT_OK(
-          table->CreateIndex(meta.schema.column(col).name));
-      // Paged index: reopened from its root after a clean shutdown; rebuilt
-      // from the rows after a crash (its pages are not WAL-protected).
-      std::unique_ptr<storage::BTreeFile> btree;
-      if (!recovered_from_crash_ && root != kInvalidPageId) {
-        MOPE_ASSIGN_OR_RETURN(btree,
-                              storage::BTreeFile::Open(engine_->pool(), root));
-      } else {
-        MOPE_ASSIGN_OR_RETURN(
-            btree, storage::BTreeFile::Open(engine_->pool(), kInvalidPageId));
-        for (RowId id = 0; id < table->row_count(); ++id) {
-          MOPE_RETURN_NOT_OK(btree->Insert(IndexKey(table->row(id)[col]), id));
-        }
-      }
-      state->indexes[col] = std::move(btree);
+      MOPE_RETURN_NOT_OK(table->CreateIndex(meta.schema.column(col).name));
+      state->indexed_columns.insert(col);
     }
     tables_[name] = std::move(state);
   }
@@ -306,8 +268,8 @@ Status DurableCatalog::Recover(const Options& options) {
     table->set_durability_hooks(state.get());
   }
 
-  // A crash recovery rebuilt the paged indexes in fresh pages; checkpoint
-  // now so the new roots are durable and the replayed WAL is retired.
+  // After a crash, checkpoint now so the replayed WAL is retired: the next
+  // open starts from the redone pages instead of replaying it again.
   if (recovered_from_crash_) {
     MOPE_RETURN_NOT_OK(Checkpoint());
   }
@@ -346,8 +308,8 @@ Status DurableCatalog::OnDropTable(const std::string& name) {
   PutString(&payload, name);
   MOPE_RETURN_NOT_OK(
       engine_->logger()->Log(WalRecordType::kCatalog, payload).status());
-  // The table's heap and index pages are leaked until the next compaction
-  // story lands (documented in DESIGN.md §9) — correctness first.
+  // The table's heap pages are leaked until a page free-list lands
+  // (documented in DESIGN.md §9) — correctness first.
   tables_.erase(name);
   return Status::OK();
 }
@@ -360,11 +322,8 @@ Result<std::string> DurableCatalog::EncodeCatalogBlob() const {
     PutString(&blob, name);
     PutSchema(&blob, table->schema());
     PutU64(&blob, state->heap->head());
-    PutU64(&blob, state->indexes.size());
-    for (const auto& [col, btree] : state->indexes) {
-      PutU64(&blob, col);
-      PutU64(&blob, btree->root());
-    }
+    PutU64(&blob, state->indexed_columns.size());
+    for (const size_t col : state->indexed_columns) PutU64(&blob, col);
   }
   return blob;
 }

@@ -5,23 +5,25 @@
 /// DurableCatalog: re-homes the in-memory Catalog/Table engine onto the
 /// storage subsystem (src/storage/) without changing any caller.
 ///
-/// Architecture — dual representation, WAL-first:
+/// Architecture — one durable representation, WAL-first:
 ///
 ///   - The in-memory Catalog stays the serving path: every query keeps
 ///     reading the same Table rows and BPlusTree indexes it always did.
 ///   - Durability rides the hook interfaces (TableDurabilityHooks /
 ///     CatalogDurabilityHooks): each mutation is logged to the WAL and
-///     applied to the paged structures *before* the in-memory apply.
-///     Rows live in slotted heap pages (storage::TableHeap); every index
-///     is mirrored as a paged B+-tree (storage::BTreeFile) maintained
-///     through the buffer pool; DDL is logged as kCatalog records.
+///     applied to the heap pages *before* the in-memory apply. Rows live
+///     in slotted heap pages (storage::TableHeap); DDL, including each
+///     CREATE INDEX, is logged as kCatalog records. Nothing on disk holds
+///     an index: an index is a function of the rows, so only the list of
+///     indexed columns is durable.
 ///   - Recovery inverts the flow: page-level WAL redo (done by
 ///     storage::StorageEngine::Open) makes the heap pages right, then this
-///     layer replays DDL records, scans each heap to rebuild rows and
-///     in-memory indexes, rebuilds the paged indexes (their pages are not
-///     WAL-logged — see btree_file.h) and checkpoints. A crash costs one
-///     index rebuild, never a re-encryption: everything on disk is MOPE
-///     ciphertext, so the proxy and its keys are not involved at all.
+///     layer replays DDL records, scans each heap to rebuild the rows and
+///     builds every recorded index from them — the same path after a
+///     clean shutdown and after a crash. A crash additionally checkpoints
+///     to retire the replayed WAL. It costs an index build, never a
+///     re-encryption: everything on disk is MOPE ciphertext, so the proxy
+///     and its keys are not involved at all.
 ///
 /// Trust boundary: this file lives in src/engine/ — server side. It moves
 /// Values that are already ciphertext (or non-sensitive plaintext columns)
@@ -38,7 +40,6 @@
 #include "engine/table.h"
 #include "obs/clock.h"
 #include "obs/registry.h"
-#include "storage/btree_file.h"
 #include "storage/storage_engine.h"
 #include "storage/table_heap.h"
 
@@ -65,7 +66,7 @@ class DurableCatalog : public CatalogDurabilityHooks {
   ~DurableCatalog() override;
 
   /// Checkpoints: flushes everything, persists the catalog blob (schemas,
-  /// heap heads, index roots) and truncates the WAL. Call from the thread
+  /// heap heads, indexed columns) and truncates the WAL. Call from the thread
   /// that owns writes (the protocol needs quiescence, which the engine's
   /// existing write serialization provides).
   Status Checkpoint();
@@ -88,7 +89,7 @@ class DurableCatalog : public CatalogDurabilityHooks {
 
   DurableCatalog(Catalog* catalog, std::unique_ptr<storage::StorageEngine> e);
 
-  Status Recover(const Options& options);
+  Status Recover();
   Result<std::string> EncodeCatalogBlob() const;
 
   Catalog* const catalog_;

@@ -59,7 +59,7 @@ class DbServer {
   /// existing directory this runs WAL redo + catalog recovery, repopulating
   /// this server's (must-be-empty) catalog; on a fresh one it just creates
   /// the files. Afterwards every catalog mutation is WAL-logged and applied
-  /// to heap/index pages before it lands in memory; the pages hold the same
+  /// to heap pages before it lands in memory; the pages hold the same
   /// MOPE ciphertexts the in-memory tables do, so the disk is inside the
   /// same trust boundary as the server's RAM. The storage `storage.*`
   /// counters land in this server's metrics registry (unless the options

@@ -82,8 +82,9 @@ Result<Catalog> DeserializeCatalog(const std::string& bytes) {
       indexed.push_back(std::move(col));
     }
 
+    MOPE_ASSIGN_OR_RETURN(Schema schema, Schema::Create(std::move(columns)));
     MOPE_ASSIGN_OR_RETURN(Table * table,
-                          catalog.CreateTable(name, Schema(columns)));
+                          catalog.CreateTable(name, std::move(schema)));
     MOPE_ASSIGN_OR_RETURN(uint64_t num_rows, reader.U64());
     for (uint64_t r = 0; r < num_rows; ++r) {
       Row row;

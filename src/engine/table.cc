@@ -22,11 +22,25 @@ std::string ValueToString(const Value& v) {
   return "";
 }
 
-Schema::Schema(std::vector<Column> columns) : columns_(std::move(columns)) {
+Schema::Schema(std::vector<Column> columns) {
+  MOPE_CHECK(Init(std::move(columns)).ok(), "duplicate column names");
+}
+
+Result<Schema> Schema::Create(std::vector<Column> columns) {
+  Schema schema;
+  MOPE_RETURN_NOT_OK(schema.Init(std::move(columns)));
+  return schema;
+}
+
+Status Schema::Init(std::vector<Column> columns) {
+  columns_ = std::move(columns);
   for (size_t i = 0; i < columns_.size(); ++i) {
-    by_name_[columns_[i].name] = i;
+    if (!by_name_.emplace(columns_[i].name, i).second) {
+      return Status::Corruption("duplicate column name '" + columns_[i].name +
+                                "'");
+    }
   }
-  MOPE_CHECK(by_name_.size() == columns_.size(), "duplicate column names");
+  return Status::OK();
 }
 
 Result<size_t> Schema::IndexOf(const std::string& name) const {

@@ -46,7 +46,11 @@ struct Column {
 class Schema {
  public:
   Schema() = default;
+  /// For schemas written in code: a duplicate column name aborts.
   explicit Schema(std::vector<Column> columns);
+  /// For schemas decoded from bytes (wire reply, snapshot, durable
+  /// catalog): a duplicate column name is Corruption, never an abort.
+  static Result<Schema> Create(std::vector<Column> columns);
 
   size_t num_columns() const { return columns_.size(); }
   const Column& column(size_t i) const { return columns_[i]; }
@@ -59,6 +63,9 @@ class Schema {
   Status Validate(const Row& row) const;
 
  private:
+  /// Takes `columns` and maps their names; Corruption on a duplicate.
+  Status Init(std::vector<Column> columns);
+
   std::vector<Column> columns_;
   std::map<std::string, size_t> by_name_;
 };

@@ -383,7 +383,7 @@ Result<engine::Schema> DecodeSchemaReply(std::string_view payload) {
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after schema reply");
   }
-  return engine::Schema(std::move(columns));
+  return engine::Schema::Create(std::move(columns));
 }
 
 std::string EncodeStatsReply(const StatsReply& stats) {

@@ -5,8 +5,8 @@
 /// On-disk page layout shared by every paged structure.
 ///
 /// A page is kPageSize bytes. The first kPageHeaderSize bytes are a common
-/// header; the payload layout beyond it belongs to the page type (slotted
-/// heap page, B+-tree leaf/internal node, ...). All integers little-endian.
+/// header; the payload layout beyond it belongs to the page type (today
+/// only the slotted heap page). All integers little-endian.
 ///
 ///   offset  size  field
 ///        0     4  checksum   CRC-32 of bytes [4, kPageSize)
@@ -14,9 +14,8 @@
 ///        5     1  flags      (reserved, 0)
 ///        6     2  count      slots / entries on the page
 ///        8     8  lsn        LSN of the last WAL record applied to the page
-///       16     8  next       chain link (heap chain, leaf chain); kInvalidPageId
-///       24     8  aux        type-specific (heap: free-space offset;
-///                            internal node: leftmost child page id)
+///       16     8  next       heap chain link; kInvalidPageId at the tail
+///       24     8  aux        type-specific (heap: free-space offset)
 ///
 /// The checksum is stamped by DiskManager::WritePage and verified by
 /// ReadPage, so a torn page — a write the power cut got halfway through —
@@ -43,8 +42,6 @@ inline constexpr size_t kPageHeaderSize = 32;
 enum class PageType : uint8_t {
   kFree = 0,
   kHeap = 1,
-  kBTreeLeaf = 2,
-  kBTreeInternal = 3,
 };
 
 // --- Raw field accessors over a kPageSize buffer --------------------------

@@ -16,7 +16,7 @@ namespace mope::storage {
 
 namespace {
 
-constexpr char kMetaMagic[8] = {'M', 'O', 'P', 'E', 'M', 'E', 'T', '1'};
+constexpr char kMetaMagic[8] = {'M', 'O', 'P', 'E', 'M', 'E', 'T', '2'};
 
 obs::MetricsRegistry* OrGlobal(obs::MetricsRegistry* metrics) {
   return metrics != nullptr ? metrics : obs::Registry();

@@ -10,20 +10,22 @@
 ///   pages.db       page file (DiskManager)
 ///   wal.log        write-ahead log (Wal)
 ///   storage.meta   checkpoint metadata, replaced atomically:
-///                  magic "MOPEMET1", u64 checkpoint_lsn, u64 next_lsn,
+///                  magic "MOPEMET2", u64 checkpoint_lsn, u64 next_lsn,
 ///                  u64 page_count, u64 blob_len, blob, u32 CRC-32 of all
 ///                  preceding bytes. The blob is the engine's serialized
 ///                  durable catalog (table schemas, heap head page ids,
-///                  index root page ids) — opaque at this layer.
+///                  indexed columns) — opaque at this layer. A meta with
+///                  any other magic, such as an older layout's, fails
+///                  Open with Corruption.
 ///
 /// Open = recovery. Read the meta (if any), replay every WAL record with
 /// LSN > checkpoint_lsn against the page file (images verbatim, heap
 /// records through the same heap_page primitives the forward path uses,
 /// each guarded by the page's LSN), sync, and hand the recovered kCatalog
 /// records to the engine. If anything was replayed the run is flagged
-/// crash_recovered(): the engine must rebuild its indexes from the heap
-/// (index pages are not logged — see btree_file.h) and checkpoint to
-/// re-establish the clean state.
+/// crash_recovered(), and the engine checkpoints to retire the replayed
+/// log. Only heap pages live in the page file: the engine derives every
+/// index from the recovered rows, after a crash and a clean shutdown alike.
 ///
 /// Checkpoint protocol (the order is the correctness argument):
 ///   1. WAL Sync        — every logged record is durable.
@@ -58,8 +60,9 @@
 namespace mope::storage {
 
 struct StorageOptions {
-  /// Buffer pool frames (minimum 8: a B+-tree descent holds up to two pins
-  /// and checkpointing must always find a victim).
+  /// Buffer pool frames (minimum 8: a heap append holds up to two pins, the
+  /// tail page and a fresh one, and checkpointing must always find a
+  /// victim).
   size_t pool_frames = 256;
   /// WAL group-commit policy: fsync every N records (1 = every record,
   /// 0 = only explicit Sync/Checkpoint).
@@ -94,8 +97,9 @@ class StorageEngine {
     return std::move(catalog_records_);
   }
 
-  /// True when Open replayed any WAL record: the on-disk index pages are
-  /// not to be trusted and the engine must rebuild indexes from the heap.
+  /// True when Open replayed any WAL record (a crash, not a clean
+  /// shutdown). The engine checkpoints after its recovery to retire the
+  /// replayed log; operators see the flag on /statusz.
   bool crash_recovered() const { return crash_recovered_; }
 
   /// Number of WAL records redone at Open (for logs/metrics).

@@ -61,6 +61,10 @@ Result<uint64_t> Wal::Append(WalRecordType type, std::string_view payload) {
   ++unsynced_records_;
   if (sync_every_ != 0 && unsynced_records_ >= sync_every_) {
     MOPE_RETURN_NOT_OK(SyncLocked());
+  } else if (pending_.size() >= kMaxPendingBytes) {
+    // Written, not fsynced: the commit point stays at the next sync.
+    MOPE_RETURN_NOT_OK(file_->Append(pending_));
+    pending_.clear();
   }
   return lsn;
 }

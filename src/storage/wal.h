@@ -14,7 +14,10 @@
 ///       17     n  payload
 ///
 /// Appends are buffered in user space and pushed to the medium in groups:
-/// one write + one fsync per `sync_every` records (group commit). A record
+/// one write + one fsync per `sync_every` records (group commit). A buffer
+/// that reaches kMaxPendingBytes before its fsync is written out early
+/// without one, so a deferred policy (large or 0 `sync_every`) holds at
+/// most that much in memory; commit points do not move. A record
 /// is *committed* once Sync() has covered it; a crash loses at most the
 /// un-synced suffix, and replay recovers exactly the committed prefix —
 /// ReadAll stops at the first truncated or checksum-bad record, which is
@@ -70,6 +73,9 @@ struct WalRecord {
 
 class Wal {
  public:
+  /// Buffered bytes past which Append writes them to the file (no fsync).
+  static constexpr size_t kMaxPendingBytes = size_t{256} << 10;
+
   /// Opens the log for appending (keeping existing contents — recovery
   /// reads them first via ReadAll). `next_lsn` must be greater than every
   /// LSN already in the file. `sync_every` = N groups N appends per fsync

@@ -2,14 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/crc32.h"
+#include "engine/btree.h"
 #include "engine/server.h"
 #include "engine/snapshot.h"
 #include "engine/table.h"
 #include "obs/registry.h"
 #include "storage/env.h"
+#include "storage/page.h"
 
 namespace mope::engine {
 namespace {
@@ -136,8 +142,8 @@ TEST(DurableCatalogTest, CheckpointMakesReopenClean) {
   auto durable = DurableCatalog::Open("/db", &recovered,
                                       TestOptions(&env, &metrics));
   ASSERT_TRUE(durable.ok()) << durable.status();
-  // Clean reopen: nothing replayed, paged indexes reopened from their
-  // checkpointed roots rather than rebuilt.
+  // Clean reopen: nothing replayed; the index is rebuilt from the heap
+  // rows exactly as after a crash.
   EXPECT_FALSE((*durable)->recovered_from_crash());
   ExpectItemsEqual(recovered, 200);
   auto table = recovered.GetTable("items");
@@ -146,33 +152,88 @@ TEST(DurableCatalogTest, CheckpointMakesReopenClean) {
   EXPECT_EQ((*(*table)->GetIndex("c"))->CountRange(0, 256), 200u);
 }
 
-TEST(DurableCatalogTest, UpdateValueSurvivesCrash) {
-  storage::InMemEnv env;
-  obs::MetricsRegistry metrics;
-  {
-    Catalog catalog;
-    auto durable = DurableCatalog::Open("/db", &catalog,
-                                        TestOptions(&env, &metrics));
-    ASSERT_TRUE(durable.ok());
-    auto table = catalog.CreateTable("items", ItemsSchema());
-    ASSERT_TRUE(table.ok());
-    ASSERT_TRUE(FillItems(*table, 20).ok());
-    ASSERT_TRUE((*table)->CreateIndex("c").ok());
-    // The key-rotation pattern: rewrite a ciphertext in place.
-    ASSERT_TRUE((*table)->UpdateValue(7, 0, Value(int64_t{9999})).ok());
+// The recovered index must equal one built fresh over the recovered rows:
+// the same count and the same (key, row id) entries over every range.
+void ExpectIndexMatchesFreshBuild(const Table& table,
+                                  const std::string& column) {
+  auto col = table.schema().IndexOf(column);
+  ASSERT_TRUE(col.ok()) << col.status();
+  auto index = table.GetIndex(column);
+  ASSERT_TRUE(index.ok()) << index.status();
+  EXPECT_TRUE((*index)->CheckInvariants().ok());
+  BPlusTree fresh;
+  for (RowId id = 0; id < table.row_count(); ++id) {
+    fresh.Insert(static_cast<uint64_t>(std::get<int64_t>(table.row(id)[*col])),
+                 id);
   }
-  env.SimulateCrash();
+  using Entries = std::vector<std::pair<uint64_t, uint64_t>>;
+  const auto scan = [](const BPlusTree& tree, uint64_t lo, uint64_t hi) {
+    Entries entries;
+    tree.ScanRange(lo, hi, [&entries](uint64_t key, uint64_t id) {
+      entries.emplace_back(key, id);
+    });
+    std::sort(entries.begin(), entries.end());
+    return entries;
+  };
+  const std::pair<uint64_t, uint64_t> ranges[] = {
+      {0, ~uint64_t{0}}, {0, 0}, {40, 200}, {256, 5000}, {9999, 9999}};
+  for (const auto& [lo, hi] : ranges) {
+    EXPECT_EQ((*index)->CountRange(lo, hi), fresh.CountRange(lo, hi))
+        << lo << ".." << hi;
+    EXPECT_EQ(scan(**index, lo, hi), scan(fresh, lo, hi)) << lo << ".." << hi;
+  }
+}
 
-  Catalog recovered;
-  auto durable = DurableCatalog::Open("/db", &recovered,
-                                      TestOptions(&env, &metrics));
-  ASSERT_TRUE(durable.ok()) << durable.status();
-  auto table = recovered.GetTable("items");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->row(7)[0], Value(int64_t{9999}));
-  auto index = (*table)->GetIndex("c");
-  ASSERT_TRUE(index.ok());
-  EXPECT_EQ((*index)->CountRange(9999, 9999), 1u);
+TEST(DurableCatalogTest, UpdateValueSurvivesCrash) {
+  // The key-rotation pattern (rewrite indexed ciphertexts in place), then a
+  // reopen after a crash and after a clean checkpoint: both rebuild the
+  // index from the heap rows.
+  for (const bool crash : {true, false}) {
+    SCOPED_TRACE(crash ? "crash reopen" : "clean reopen");
+    storage::InMemEnv env;
+    obs::MetricsRegistry metrics;
+    {
+      Catalog catalog;
+      auto durable = DurableCatalog::Open("/db", &catalog,
+                                          TestOptions(&env, &metrics));
+      ASSERT_TRUE(durable.ok());
+      auto table = catalog.CreateTable("items", ItemsSchema());
+      ASSERT_TRUE(table.ok());
+      ASSERT_TRUE(FillItems(*table, 120).ok());
+      ASSERT_TRUE((*table)->CreateIndex("c").ok());
+      for (RowId id = 0; id < 120; id += 3) {
+        ASSERT_TRUE(
+            (*table)->UpdateValue(id, 0, Value(int64_t(1000 + id))).ok());
+      }
+      // Row 7 moves twice; only the last value may survive.
+      ASSERT_TRUE((*table)->UpdateValue(7, 0, Value(int64_t{4242})).ok());
+      ASSERT_TRUE((*table)->UpdateValue(7, 0, Value(int64_t{9999})).ok());
+      if (!crash) {
+        ASSERT_TRUE((*durable)->Checkpoint().ok());
+      }
+    }
+    if (crash) env.SimulateCrash();
+
+    Catalog recovered;
+    auto durable = DurableCatalog::Open("/db", &recovered,
+                                        TestOptions(&env, &metrics));
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    EXPECT_EQ((*durable)->recovered_from_crash(), crash);
+    auto table = recovered.GetTable("items");
+    ASSERT_TRUE(table.ok());
+    ASSERT_EQ((*table)->row_count(), 120u);
+    for (RowId id = 0; id < 120; ++id) {
+      const int64_t want = id == 7        ? 9999
+                           : id % 3 == 0 ? int64_t(1000 + id)
+                                         : int64_t(id) * 11 % 257;
+      EXPECT_EQ((*table)->row(id)[0], Value(want)) << id;
+    }
+    auto index = (*table)->GetIndex("c");
+    ASSERT_TRUE(index.ok());
+    EXPECT_EQ((*index)->CountRange(9999, 9999), 1u);
+    EXPECT_EQ((*index)->CountRange(4242, 4242), 0u);
+    ExpectIndexMatchesFreshBuild(**table, "c");
+  }
 }
 
 TEST(DurableCatalogTest, DropTableSurvivesCrash) {
@@ -291,6 +352,40 @@ TEST(DurableCatalogTest, ImportCatalogFlowsThroughHooks) {
   ASSERT_TRUE(durable.ok()) << durable.status();
   ExpectItemsEqual(recovered, 60);
   EXPECT_TRUE((*recovered.GetTable("items"))->HasIndex("c"));
+}
+
+TEST(DurableCatalogTest, DuplicateColumnInCatalogBlobIsCorruption) {
+  storage::InMemEnv env;
+  obs::MetricsRegistry metrics;
+  {
+    Catalog catalog;
+    auto durable = DurableCatalog::Open("/db", &catalog,
+                                        TestOptions(&env, &metrics));
+    ASSERT_TRUE(durable.ok());
+    ASSERT_TRUE(catalog
+                    .CreateTable("t", Schema({Column{"colx", ValueType::kInt},
+                                              Column{"coly", ValueType::kInt}}))
+                    .ok());
+    ASSERT_TRUE((*durable)->Checkpoint().ok());
+  }
+  // Rename coly to colx inside the checkpointed blob and re-stamp the meta
+  // CRC, so only the schema check can catch it.
+  auto meta = env.ReadFile("/db/storage.meta");
+  ASSERT_TRUE(meta.ok());
+  std::string tampered = *meta;
+  const size_t pos = tampered.find("coly");
+  ASSERT_NE(pos, std::string::npos);
+  tampered[pos + 3] = 'x';
+  storage::StoreU32(tampered.data() + tampered.size() - 4,
+                    Crc32(std::string_view(tampered).substr(
+                        0, tampered.size() - 4)));
+  ASSERT_TRUE(env.WriteFileAtomic("/db/storage.meta", tampered).ok());
+
+  Catalog catalog;
+  auto durable =
+      DurableCatalog::Open("/db", &catalog, TestOptions(&env, &metrics));
+  ASSERT_FALSE(durable.ok());
+  EXPECT_TRUE(durable.status().IsCorruption()) << durable.status();
 }
 
 }  // namespace

@@ -75,6 +75,20 @@ TEST(SnapshotTest, RejectsTrailingGarbage) {
       DeserializeCatalog(*bytes + "extra").status().IsCorruption());
 }
 
+TEST(SnapshotTest, RejectsDuplicateColumnName) {
+  Catalog catalog;
+  ASSERT_TRUE(catalog
+                  .CreateTable("t", Schema({Column{"colx", ValueType::kInt},
+                                            Column{"coly", ValueType::kInt}}))
+                  .ok());
+  auto bytes = SerializeCatalog(catalog);
+  ASSERT_TRUE(bytes.ok());
+  const size_t pos = bytes->find("coly");
+  ASSERT_NE(pos, std::string::npos);
+  (*bytes)[pos + 3] = 'x';
+  EXPECT_TRUE(DeserializeCatalog(*bytes).status().IsCorruption());
+}
+
 TEST(SnapshotTest, SaveIsAtomicUnderWriteFailure) {
   storage::InMemEnv base;
   storage::FaultyEnv env(&base);

@@ -218,6 +218,16 @@ TEST(MessageTest, SchemaRoundTrip) {
   EXPECT_EQ(decoded->column(2).name, "tag");
 }
 
+TEST(MessageTest, SchemaReplyWithDuplicateColumnIsCorruption) {
+  // A corrupt or malicious server must not be able to abort the proxy.
+  std::string payload = EncodeSchemaReply(
+      Schema({Column{"a", ValueType::kInt}, Column{"b", ValueType::kInt}}));
+  const size_t pos = payload.find('b');
+  ASSERT_NE(pos, std::string::npos);
+  payload[pos] = 'a';
+  EXPECT_TRUE(DecodeSchemaReply(payload).status().IsCorruption());
+}
+
 TEST(MessageTest, StatusReplyRoundTrip) {
   const Status original = Status::NotFound("no table 'x'");
   Status decoded;

@@ -107,7 +107,7 @@ TEST(DiskManagerTest, PersistsAcrossReopen) {
     id = (*dm)->AllocatePage();
     char page[kPageSize];
     PageView view(page);
-    view.Format(PageType::kBTreeLeaf);
+    view.Format(PageType::kHeap);
     view.set_aux(1234);
     ASSERT_TRUE((*dm)->WritePage(id, page).ok());
     ASSERT_TRUE((*dm)->Sync().ok());

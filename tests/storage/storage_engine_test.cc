@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "obs/registry.h"
 #include "storage/env.h"
 #include "storage/page.h"
@@ -289,11 +290,22 @@ TEST(StorageEngineTest, MetaCorruptionIsDetected) {
   }
   auto meta = env.ReadFile("/db/storage.meta");
   ASSERT_TRUE(meta.ok());
-  std::string tampered = *meta;
-  tampered[tampered.size() / 2] ^= 0x40;
-  ASSERT_TRUE(env.WriteFileAtomic("/db/storage.meta", tampered).ok());
-  auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
-  EXPECT_FALSE(engine.ok());
+  std::string flipped = *meta;
+  flipped[flipped.size() / 2] ^= 0x40;
+  // A well-formed meta of the previous layout ("MOPEMET1", whose blob also
+  // held index root page ids) with a valid CRC: rejected by its magic.
+  std::string old_layout = *meta;
+  ASSERT_EQ(old_layout.substr(0, 8), "MOPEMET2");
+  old_layout[7] = '1';
+  StoreU32(old_layout.data() + old_layout.size() - 4,
+           Crc32(std::string_view(old_layout).substr(
+               0, old_layout.size() - 4)));
+  for (const std::string& tampered : {flipped, old_layout}) {
+    ASSERT_TRUE(env.WriteFileAtomic("/db/storage.meta", tampered).ok());
+    auto engine = StorageEngine::Open("/db", TestOptions(&env, &metrics));
+    ASSERT_FALSE(engine.ok());
+    EXPECT_TRUE(engine.status().IsCorruption()) << engine.status();
+  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "obs/registry.h"
 #include "storage/env.h"
+#include "storage/page.h"
 
 namespace mope::storage {
 namespace {
@@ -66,6 +67,28 @@ TEST(WalTest, ExplicitSyncCommitsEverything) {
   auto records = Wal::ReadAll(&env, "/wal", 0);
   ASSERT_TRUE(records.ok());
   EXPECT_EQ(records->size(), 2u);
+}
+
+TEST(WalTest, DeferredPolicyBoundsTheBufferWithoutCommitting) {
+  InMemEnv env;
+  obs::MetricsRegistry metrics;
+  auto wal = Wal::Open(&env, "/wal", 1, /*sync_every=*/0, &metrics);
+  ASSERT_TRUE(wal.ok());
+  const std::string image(kPageSize, 'p');
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE((*wal)->Append(WalRecordType::kPageImage, image).ok());
+  }
+  // ~400 KiB logged: the buffer went to the file once it reached the
+  // bound, with no fsync, so nothing is committed yet.
+  auto written = env.ReadFile("/wal");
+  ASSERT_TRUE(written.ok());
+  EXPECT_GE(written->size(), Wal::kMaxPendingBytes);
+  EXPECT_LT(written->size(), 100 * kPageSize);
+  EXPECT_EQ(metrics.GetCounter("storage.wal.syncs")->Value(), 0u);
+  env.SimulateCrash();
+  auto records = Wal::ReadAll(&env, "/wal", 0);
+  ASSERT_TRUE(records.ok());
+  EXPECT_TRUE(records->empty());
 }
 
 TEST(WalTest, SyncToCoversRequestedLsn) {

@@ -101,6 +101,16 @@ Machine-enforces the correctness conventions that code review used to carry:
                          hand-rolled formatting — plus std::signal/std::raise
                          to re-deliver with default disposition. Applies to
                          every linted tree.
+  R14 decoder-check      (file-level check) No MOPE_CHECK lexically inside
+                         the body of a function named Decode* /
+                         Deserialize* / Load* under src/. Those functions
+                         read bytes from the wire, a snapshot, the WAL, a
+                         page or the catalog blob: an untrusted byte must
+                         become a Status (Corruption), never abort the
+                         process. Invariants of values built in code stay
+                         MOPE_CHECKs outside the decoder; a decoder that
+                         needs the same check calls a Result-returning
+                         factory such as Schema::Create.
 
 A line may opt out with a trailing `// invariant-ok: <reason>` comment; the
 reason is mandatory and greppable. Exit status: 0 clean, 1 violations,
@@ -448,6 +458,70 @@ def check_fatal_handlers(rel: str, lines: list[tuple[int, str, str]]
     return violations
 
 
+# R14: the start of a Decode*/Deserialize*/Load* definition or declaration
+# on a statement-level line: an optional return type (no parentheses, no
+# `=`), optional Class:: qualifiers, the name, then its parameter list. A
+# call on such a line is told apart by what follows the parameter list: a
+# `;` (statement or declaration) rather than a `{` (body).
+DECODER_NAME_RE = re.compile(
+    r"^\s*(?P<ret>[\w:<>,*&\s]*?)(?<![\w:])(?:\w+::)*"
+    r"(?P<name>(?:Decode|Deserialize|Load)\w*)\s*\(")
+NOT_A_RETURN_TYPE = {"return", "co_return", "else", "case", "throw", "new",
+                     "delete", "co_await", "co_yield", "goto"}
+CHECK_MACRO_RE = re.compile(r"\bMOPE_CHECK\b")
+
+
+def check_decoder_checks(rel: str, lines: list[tuple[int, str, str]]
+                         ) -> list[str]:
+    """R14: no MOPE_CHECK inside a Decode*/Deserialize*/Load* body in src/.
+
+    lines: (lineno, raw, comment-and-string-stripped code)."""
+    if not rel.startswith("src/"):
+        return []
+    violations = []
+    paren = 0       # ( ... ) depth at the start of the current line
+    name = None     # decoder whose signature or body is being scanned
+    body_name = None  # name, kept for a body that closes on its last line
+    in_body = False
+    depth = 0       # ( ... ) depth in the signature, { ... } in the body
+    for lineno, raw, code in lines:
+        start = 0
+        if name is None and paren == 0:
+            m = DECODER_NAME_RE.match(code)
+            ret = m.group("ret").split() if m else []
+            if m and not (ret and ret[0] in NOT_A_RETURN_TYPE):
+                name, in_body, depth = m.group("name"), False, 0
+                start = m.start("name")
+        paren = max(0, paren + code.count("(") - code.count(")"))
+        body = []   # this line's characters that lie inside the body
+        for ch in code[start:] if name is not None else "":
+            if in_body:
+                depth += (ch == "{") - (ch == "}")
+                if depth == 0:
+                    name = None
+                    break
+                body.append(ch)
+            elif ch in "()":
+                depth += 1 if ch == "(" else -1
+                if depth < 0:  # closes an enclosing call: not a definition
+                    name = None
+                    break
+            elif depth == 0 and ch == ";":
+                name = None  # a declaration or a call statement
+                break
+            elif depth == 0 and ch == "{":
+                in_body, depth = True, 1
+                body_name = name
+        if CHECK_MACRO_RE.search("".join(body)) and not ESCAPE_RE.search(raw):
+            violations.append(
+                f"{rel}:{lineno}: [decoder-check] MOPE_CHECK inside "
+                f"{body_name}(): a decoder reads untrusted bytes and must "
+                "return Corruption, never abort — return a Status or call a "
+                "Result-returning factory such as Schema::Create\n"
+                f"    {raw.strip()}")
+    return violations
+
+
 def lint_file(root: Path, rel: str) -> list[str]:
     violations = []
     rules = [r for r in RULES if r.applies_to(rel)]
@@ -476,6 +550,7 @@ def lint_file(root: Path, rel: str) -> list[str]:
     violations.extend(check_mutex_annotations(rel, stripped_lines))
     violations.extend(check_operator_hooks(rel, stripped_lines))
     violations.extend(check_fatal_handlers(rel, stripped_lines))
+    violations.extend(check_decoder_checks(rel, stripped_lines))
     return violations
 
 

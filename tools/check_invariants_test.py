@@ -265,6 +265,34 @@ class CatchesSeededViolations(unittest.TestCase):
         )
         self.assertIn("fatal-handler-unsafe", rule_ids(v))
 
+    def test_check_in_decoder_caught(self) -> None:
+        v = run_on_tree(
+            {"src/net/bad.cc":
+                 "Result<int> DecodeThing(std::string_view b) {\n"
+                 "  MOPE_CHECK(!b.empty(), \"empty payload\");\n"
+                 "  return 1;\n"
+                 "}\n"}
+        )
+        self.assertIn("decoder-check", rule_ids(v))
+
+    def test_check_in_qualified_multiline_loader_caught(self) -> None:
+        # Return type on its own line, parameters over two lines, the check
+        # nested in an inner block, and a one-line deserializer.
+        v = run_on_tree(
+            {"src/engine/bad.cc":
+                 "Status\n"
+                 "Store::LoadPage(const std::string& path,\n"
+                 "                int n) const {\n"
+                 "  if (n > 0) {\n"
+                 "    MOPE_CHECK(!path.empty(), \"path\");\n"
+                 "  }\n"
+                 "  return Status::OK();\n"
+                 "}\n"
+                 "Result<int> DeserializeX(int v) { MOPE_CHECK(v, \"x\"); "
+                 "return v; }\n"}
+        )
+        self.assertEqual(sum(1 for x in v if "decoder-check" in x), 2)
+
 
 class NoFalsePositives(unittest.TestCase):
     def test_clean_file(self) -> None:
@@ -568,6 +596,48 @@ class NoFalsePositives(unittest.TestCase):
                  "void Setup() { std::signal(SIGFPE, Boom); }\n"}
         )
         self.assertNotIn("fatal-handler-unsafe", rule_ids(v))
+
+    def test_check_outside_decoder_bodies_clean(self) -> None:
+        # A declaration, calls to decoders (statement, return, macro
+        # continuation) and the code after a decoder's body are not bodies.
+        v = run_on_tree(
+            {"src/net/good.cc":
+                 "Result<int> DecodeThing(std::string_view b);\n"
+                 "Result<int> DecodeOther(std::string_view b) {\n"
+                 "  return 2;\n"
+                 "}\n"
+                 "std::string EncodeThing(int v) {\n"
+                 "  MOPE_CHECK(v >= 0, \"encoder input is ours\");\n"
+                 "  return std::to_string(v);\n"
+                 "}\n"
+                 "Status Process(std::string_view b) {\n"
+                 "  MOPE_ASSIGN_OR_RETURN(int x,\n"
+                 "                        DecodeThing(b));\n"
+                 "  MOPE_CHECK(x > 0, \"post-condition\");\n"
+                 "  return DecodeOther(b).status();\n"
+                 "}\n"}
+        )
+        self.assertNotIn("decoder-check", rule_ids(v))
+
+    def test_decoder_check_scoped_to_src(self) -> None:
+        v = run_on_tree(
+            {"tests/net/decode_test.cc":
+                 "Result<int> DecodeForTest(int v) {\n"
+                 "  MOPE_CHECK(v > 0, \"fixture\");\n"
+                 "  return v;\n"
+                 "}\n"}
+        )
+        self.assertNotIn("decoder-check", rule_ids(v))
+
+    def test_decoder_check_escape_comment(self) -> None:
+        v = run_on_tree(
+            {"src/net/escaped.cc":
+                 "Result<int> DecodeThing(int v) {\n"
+                 "  MOPE_CHECK(v, \"x\");  // invariant-ok: R14 v is ours\n"
+                 "  return v;\n"
+                 "}\n"}
+        )
+        self.assertNotIn("decoder-check", rule_ids(v))
 
     def test_real_repo_is_clean(self) -> None:
         root = Path(__file__).resolve().parent.parent

@@ -422,7 +422,7 @@ int main(int argc, char** argv) {
 
   if (server->has_storage() && !recovered_data) {
     // Make the freshly imported data cheap to reopen: flush pages, persist
-    // index roots, truncate the WAL.
+    // the catalog (schemas, heap heads, indexed columns), truncate the WAL.
     const Status cp = server->CheckpointStorage();
     if (!cp.ok()) {
       MOPE_LOG(kError, "main", "checkpoint_failed")
@@ -565,8 +565,8 @@ int main(int argc, char** argv) {
     obs::FlightRecorder::Install(nullptr);
   }
   if (server->has_storage()) {
-    // Clean-shutdown checkpoint: the next start reopens the paged indexes
-    // from their checkpointed roots instead of rebuilding them.
+    // Clean-shutdown checkpoint: the next start scans the heap pages
+    // without replaying any WAL, then rebuilds the indexes from the rows.
     const Status cp = server->CheckpointStorage();
     if (!cp.ok()) {
       MOPE_LOG(kError, "main", "shutdown_checkpoint_failed")
