@@ -1,19 +1,25 @@
 /// Micro-benchmarks (google-benchmark): primitive costs underlying the
 /// figure benches, plus ablations of two design choices called out in
 /// DESIGN.md §4 — the geometric fast path for fake-query counts and the
-/// coalesced shared sweep for disjunctive range batches.
+/// coalesced shared sweep for disjunctive range batches — and the per-round
+/// trip wire codec costs of DESIGN.md §5.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
+#include "common/crc32.h"
 #include "common/random.h"
 #include "crypto/aes.h"
 #include "crypto/hgd.h"
 #include "dist/completion.h"
 #include "engine/btree.h"
 #include "engine/executor.h"
+#include "net/wire.h"
 #include "ope/mope.h"
 #include "ope/ope.h"
 #include "proxy/system.h"
+#include "workload/tpch.h"
 
 namespace mope {
 namespace {
@@ -248,6 +254,59 @@ void BM_UniformPlanBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UniformPlanBuild)->Arg(1000)->Arg(10000);
+
+// --- Wire codec (DESIGN.md §5): the work every server round trip pays ----
+
+void BM_Crc32(benchmark::State& state) {
+  Rng rng(11);
+  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.UniformUint64(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(65536);
+
+/// The first `n` rows of generated TPC-H LINEITEM at SF 0.002 (the
+/// perfbench data set), with ids: a q14_uniform_tcp reply carries ~126.
+net::RowsWithIds LineitemReply(size_t n) {
+  workload::TpchConfig config;
+  config.scale_factor = 0.002;
+  const workload::TpchData data = workload::GenerateTpch(config);
+  net::RowsWithIds rows;
+  for (size_t i = 0; i < n && i < data.lineitem.size(); ++i) {
+    rows.emplace_back(i, data.lineitem[i]);
+  }
+  return rows;
+}
+
+void BM_EncodeRangeBatchReply(benchmark::State& state) {
+  const net::RowsWithIds rows =
+      LineitemReply(static_cast<size_t>(state.range(0)));
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string payload = net::EncodeRangeBatchReply(rows);
+    bytes = payload.size();
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_EncodeRangeBatchReply)->Arg(126);
+
+void BM_DecodeRangeBatchReply(benchmark::State& state) {
+  const std::string payload = net::EncodeRangeBatchReply(
+      LineitemReply(static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    auto rows = net::DecodeRangeBatchReply(payload);
+    benchmark::DoNotOptimize(rows.ok());
+    benchmark::DoNotOptimize(rows->data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_DecodeRangeBatchReply)->Arg(126);
 
 }  // namespace
 }  // namespace mope

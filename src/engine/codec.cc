@@ -5,15 +5,15 @@
 namespace mope::engine {
 
 void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
+  char word[4];
+  StoreU32(word, v);
+  out->append(word, 4);
 }
 
 void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>(v >> (8 * i)));
-  }
+  char word[8];
+  StoreU64(word, v);
+  out->append(word, 8);
 }
 
 void PutString(std::string* out, const std::string& s) {
@@ -22,24 +22,9 @@ void PutString(std::string* out, const std::string& s) {
 }
 
 void PutValue(std::string* out, const Value& v) {
-  switch (TypeOf(v)) {
-    case ValueType::kInt:
-      out->push_back(0);
-      PutU64(out, static_cast<uint64_t>(std::get<int64_t>(v)));
-      break;
-    case ValueType::kDouble: {
-      out->push_back(1);
-      uint64_t bits;
-      const double d = std::get<double>(v);
-      std::memcpy(&bits, &d, 8);
-      PutU64(out, bits);
-      break;
-    }
-    case ValueType::kString:
-      out->push_back(2);
-      PutString(out, std::get<std::string>(v));
-      break;
-  }
+  const size_t at = out->size();
+  out->resize(at + EncodedSize(v));
+  StoreValue(out->data() + at, v);
 }
 
 Result<uint8_t> ByteReader::Byte() {
@@ -49,22 +34,14 @@ Result<uint8_t> ByteReader::Byte() {
 
 Result<uint32_t> ByteReader::U32() {
   if (pos_ + 4 > bytes_.size()) return Truncated();
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
+  const uint32_t v = LoadU32(bytes_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 Result<uint64_t> ByteReader::U64() {
   if (pos_ + 8 > bytes_.size()) return Truncated();
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
+  const uint64_t v = LoadU64(bytes_.data() + pos_);
   pos_ += 8;
   return v;
 }

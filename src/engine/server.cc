@@ -63,35 +63,6 @@ ServerStats DbServer::stats() const {
   return s;
 }
 
-Result<std::vector<Segment>> DbServer::PrepareSegments(
-    const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges, const Table** table_out,
-    const BPlusTree** index_out) {
-  MOPE_ASSIGN_OR_RETURN(Table * tbl, catalog_->GetTable(table));
-  MOPE_ASSIGN_OR_RETURN(const BPlusTree* index, tbl->GetIndex(column));
-  *table_out = tbl;
-  *index_out = index;
-
-  std::vector<Segment> segments;
-  segments.reserve(ranges.size());
-  for (const ModularInterval& range : ranges) {
-    std::array<Segment, 2> parts;
-    const int n = range.ToSegments(&parts);
-    for (int i = 0; i < n; ++i) segments.push_back(parts[i]);
-  }
-
-  batches_received_->Increment();
-  ranges_received_->Increment(ranges.size());
-  batch_ranges_hist_->Observe(ranges.size());
-  if (leakage_auditor_ != nullptr) {
-    for (const ModularInterval& range : ranges) {
-      leakage_auditor_->ObserveStart(range.start());
-    }
-    leakage_auditor_->Publish();
-  }
-  return segments;
-}
-
 Status DbServer::OpenStorage(const std::string& data_dir,
                              const DurableCatalog::Options& options) {
   if (durable_ != nullptr) {
@@ -124,70 +95,80 @@ Status DbServer::EnableLeakageAudit(const obs::LeakageAuditConfig& config) {
   return Status();
 }
 
-Result<std::vector<Row>> DbServer::ExecuteRangeBatch(
+Result<uint64_t> DbServer::SweepRangeBatch(
     const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges) {
-  const Table* tbl = nullptr;
-  const BPlusTree* index = nullptr;
-  MOPE_ASSIGN_OR_RETURN(std::vector<Segment> segments,
-                        PrepareSegments(table, column, ranges, &tbl, &index));
+    const std::vector<ModularInterval>& ranges, const RowVisitor& visit) {
+  MOPE_ASSIGN_OR_RETURN(Table * tbl, catalog_->GetTable(table));
+  MOPE_ASSIGN_OR_RETURN(const BPlusTree* index, tbl->GetIndex(column));
 
-  IndexRangeScanOp scan(tbl, index, std::move(segments));
-  MOPE_ASSIGN_OR_RETURN(std::vector<Row> rows, Collect(&scan));
-  segments_scanned_->Increment(scan.segments_scanned());
-  entries_visited_->Increment(scan.entries_visited());
-  index_nodes_visited_->Increment(scan.nodes_visited());
-  rows_returned_->Increment(rows.size());
-  return rows;
-}
+  std::vector<Segment> segments;
+  segments.reserve(ranges.size());
+  for (const ModularInterval& range : ranges) {
+    std::array<Segment, 2> parts;
+    const int n = range.ToSegments(&parts);
+    for (int i = 0; i < n; ++i) segments.push_back(parts[i]);
+  }
 
-Result<std::vector<std::pair<RowId, Row>>> DbServer::ExecuteRangeBatchWithIds(
-    const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges) {
-  const Table* tbl = nullptr;
-  const BPlusTree* index = nullptr;
-  MOPE_ASSIGN_OR_RETURN(std::vector<Segment> segments,
-                        PrepareSegments(table, column, ranges, &tbl, &index));
+  batches_received_->Increment();
+  ranges_received_->Increment(ranges.size());
+  batch_ranges_hist_->Observe(ranges.size());
+  if (leakage_auditor_ != nullptr) {
+    for (const ModularInterval& range : ranges) {
+      leakage_auditor_->ObserveStart(range.start());
+    }
+    leakage_auditor_->Publish();
+  }
 
-  std::vector<std::pair<RowId, Row>> rows;
+  const std::function<void(uint64_t, uint64_t)> on_entry =
+      [&visit, tbl](uint64_t, uint64_t rid) {
+        if (visit) visit(rid, tbl->row(rid));
+      };
+  uint64_t count = 0;
   for (const Segment& seg : CoalesceSegments(std::move(segments))) {
     // Fresh stats per executed sweep so every merged range's node visits
     // are attributed as they happen — the trace-scoped delta snapshots that
     // EXPLAIN ANALYZE takes around a request see the full per-sweep cost,
     // not just the first range's.
     BPlusTree::ScanStats sweep_stats;
-    entries_visited_->Increment(index->ScanRange(
-        seg.lo, seg.hi,
-        [&rows, tbl](uint64_t, uint64_t rid) {
-          rows.emplace_back(rid, tbl->row(rid));
-        },
-        &sweep_stats));
+    const size_t visited =
+        index->ScanRange(seg.lo, seg.hi, on_entry, &sweep_stats);
+    count += visited;
+    entries_visited_->Increment(visited);
     segments_scanned_->Increment();
     index_nodes_visited_->Increment(sweep_stats.nodes_visited);
   }
-  rows_returned_->Increment(rows.size());
+  rows_returned_->Increment(count);
+  return count;
+}
+
+Result<std::vector<Row>> DbServer::ExecuteRangeBatch(
+    const std::string& table, const std::string& column,
+    const std::vector<ModularInterval>& ranges) {
+  std::vector<Row> rows;
+  MOPE_RETURN_NOT_OK(SweepRangeBatch(table, column, ranges,
+                                     [&rows](RowId, const Row& row) {
+                                       rows.push_back(row);
+                                     })
+                         .status());
+  return rows;
+}
+
+Result<std::vector<std::pair<RowId, Row>>> DbServer::ExecuteRangeBatchWithIds(
+    const std::string& table, const std::string& column,
+    const std::vector<ModularInterval>& ranges) {
+  std::vector<std::pair<RowId, Row>> rows;
+  MOPE_RETURN_NOT_OK(SweepRangeBatch(table, column, ranges,
+                                     [&rows](RowId rid, const Row& row) {
+                                       rows.emplace_back(rid, row);
+                                     })
+                         .status());
   return rows;
 }
 
 Result<uint64_t> DbServer::CountRangeBatch(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges) {
-  const Table* tbl = nullptr;
-  const BPlusTree* index = nullptr;
-  MOPE_ASSIGN_OR_RETURN(std::vector<Segment> segments,
-                        PrepareSegments(table, column, ranges, &tbl, &index));
-
-  uint64_t count = 0;
-  for (const Segment& seg : CoalesceSegments(std::move(segments))) {
-    BPlusTree::ScanStats sweep_stats;
-    count += index->ScanRange(seg.lo, seg.hi, [](uint64_t, uint64_t) {},
-                              &sweep_stats);
-    segments_scanned_->Increment();
-    index_nodes_visited_->Increment(sweep_stats.nodes_visited);
-  }
-  entries_visited_->Increment(count);
-  rows_returned_->Increment(count);
-  return count;
+  return SweepRangeBatch(table, column, ranges, nullptr);
 }
 
 Result<std::vector<Row>> DbServer::ExecutePlan(Operator* plan) {

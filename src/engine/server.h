@@ -19,6 +19,7 @@
 /// (net::WireDispatcher provides it for the daemon).
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -83,10 +84,23 @@ class DbServer {
   /// InvalidArgument when storage is not attached.
   Status SyncStorage();
 
-  /// Executes one batch of ciphertext range predicates (each an interval on
-  /// the ciphertext space, wrapping allowed) against the index on `column`
-  /// of `table`. All ranges in the batch share a single coalesced sweep and
-  /// each qualifying row is returned exactly once.
+  /// Called once per qualifying row with its stable id and a reference into
+  /// the table (valid until the table is next mutated).
+  using RowVisitor = std::function<void(RowId, const Row&)>;
+
+  /// The one segment sweep behind every range-batch entry point. Runs one
+  /// batch of ciphertext range predicates (each an interval on the
+  /// ciphertext space, wrapping allowed) against the index on `column` of
+  /// `table`: all ranges share a single coalesced sweep, and `visit` sees
+  /// each qualifying row exactly once, in index order. An empty `visit`
+  /// counts without touching rows. Returns the number of qualifying rows
+  /// and credits the batch to the engine counters.
+  Result<uint64_t> SweepRangeBatch(const std::string& table,
+                                   const std::string& column,
+                                   const std::vector<ModularInterval>& ranges,
+                                   const RowVisitor& visit);
+
+  /// SweepRangeBatch, returning copies of the qualifying rows.
   Result<std::vector<Row>> ExecuteRangeBatch(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges);
@@ -98,7 +112,7 @@ class DbServer {
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges);
 
-  /// Like ExecuteRangeBatch but only returns the number of qualifying rows
+  /// SweepRangeBatch without a visitor: only the number of qualifying rows
   /// (still updates the counters; used by benches that do not need rows).
   Result<uint64_t> CountRangeBatch(const std::string& table,
                                    const std::string& column,
@@ -140,11 +154,6 @@ class DbServer {
   obs::LeakageAuditor* leakage_auditor() { return leakage_auditor_.get(); }
 
  private:
-  Result<std::vector<Segment>> PrepareSegments(
-      const std::string& table, const std::string& column,
-      const std::vector<ModularInterval>& ranges, const Table** table_out,
-      const BPlusTree** index_out);
-
   // Heap-held so DbServer stays movable (tests build servers in value-
   // returning factories) and so DurableCatalog's Catalog* plus the cached
   // handles below survive the move.

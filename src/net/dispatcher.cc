@@ -260,15 +260,22 @@ Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
       // dispatch latency and the slow-query trace instead).
       std::optional<engine::ServerProfileProbe> probe;
       if (want_profile) probe.emplace(server_);
-      const Result<RowsWithIds> rows = server_->ExecuteRangeBatchWithIds(
-          request->table, request->column, request->ranges);
+      // Rows are encoded straight from the table: the sweep collects
+      // references, which stay valid because nothing mutates the table
+      // before the reply is encoded under this same lock.
+      RowRefs rows;
+      const Result<uint64_t> swept = server_->SweepRangeBatch(
+          request->table, request->column, request->ranges,
+          [&rows](engine::RowId rid, const engine::Row& row) {
+            rows.emplace_back(rid, &row);
+          });
       std::string encoded_profile;
       if (want_profile) {
         encoded_profile = CaptureProfile(*probe, frame.trace_id, profile_out);
       }
       std::string reply = ReplyOrStatus(
-          rows, MessageType::kRangeBatchReply,
-          [](const RowsWithIds& r) { return EncodeRangeBatchReply(r); },
+          swept, MessageType::kRangeBatchReply,
+          [&rows](uint64_t) { return EncodeRangeBatchReply(rows); },
           options_.max_reply_payload_bytes, frame.trace_id, want_profile,
           encoded_profile);
       MaybeCheckpointLocked(frame);

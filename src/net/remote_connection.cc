@@ -119,6 +119,9 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
                             : 0) +
         frame->payload.size();
     bytes_received_->Increment(received_bytes);
+    // Every exchange that got a reply is a completed round trip, an
+    // application error (kStatusReply) included.
+    roundtrip_ns_->Observe(clock_->NowNanos() - start_ns);
     if (collector != nullptr) {
       collector->Add("net.frames", 1);
       collector->Add("net.frame_bytes_sent", sent_bytes);
@@ -150,7 +153,6 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
       return Status::Corruption("unexpected reply type " +
                                 std::to_string(frame->type));
     }
-    roundtrip_ns_->Observe(clock_->NowNanos() - start_ns);
     return *std::move(frame);
   }
   return last;

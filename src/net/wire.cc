@@ -6,10 +6,13 @@
 namespace mope::net {
 
 using engine::ByteReader;
+using engine::EncodedSize;
 using engine::PutString;
 using engine::PutU32;
 using engine::PutU64;
-using engine::PutValue;
+using engine::StoreU32;
+using engine::StoreU64;
+using engine::StoreValue;
 
 namespace {
 
@@ -281,15 +284,40 @@ Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload) {
   return request;
 }
 
-std::string EncodeRangeBatchReply(const RowsWithIds& rows) {
-  std::string out;
-  PutU64(&out, rows.size());
-  for (const auto& [rid, row] : rows) {
-    PutU64(&out, rid);
-    PutU32(&out, static_cast<uint32_t>(row.size()));
-    for (const engine::Value& v : row) PutValue(&out, v);
+namespace {
+
+/// One sizing pass, one allocation, then direct little-endian stores, so a
+/// reply costs its bytes rather than a call per byte. `row_of(entry)` is
+/// the row of one (id, row-or-pointer) entry.
+template <typename Rows, typename RowOf>
+std::string EncodeReplyRows(const Rows& rows, RowOf row_of) {
+  size_t size = 8;
+  for (const auto& entry : rows) {
+    size += 12;
+    for (const engine::Value& v : row_of(entry)) size += EncodedSize(v);
+  }
+  std::string out(size, '\0');
+  char* p = StoreU64(out.data(), rows.size());
+  for (const auto& entry : rows) {
+    const engine::Row& row = row_of(entry);
+    p = StoreU64(p, entry.first);
+    p = StoreU32(p, static_cast<uint32_t>(row.size()));
+    for (const engine::Value& v : row) p = StoreValue(p, v);
   }
   return out;
+}
+
+}  // namespace
+
+std::string EncodeRangeBatchReply(const RowsWithIds& rows) {
+  return EncodeReplyRows(
+      rows, [](const auto& entry) -> const engine::Row& { return entry.second; });
+}
+
+std::string EncodeRangeBatchReply(const RowRefs& rows) {
+  return EncodeReplyRows(rows, [](const auto& entry) -> const engine::Row& {
+    return *entry.second;
+  });
 }
 
 Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload) {
@@ -311,6 +339,10 @@ Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload) {
     engine::Row row;
     row.reserve(num_values);
     for (uint32_t c = 0; c < num_values; ++c) {
+      // Ints and doubles (nearly every ciphertext-table value) take one
+      // bounds check; strings, unknown tags and short input go through
+      // ReadValue, which owns every error message.
+      if (reader.TryAppendFixedValue(&row)) continue;
       MOPE_ASSIGN_OR_RETURN(engine::Value v, reader.ReadValue());
       row.push_back(std::move(v));
     }

@@ -141,11 +141,17 @@ struct RangeBatchRequest {
 };
 
 using RowsWithIds = std::vector<std::pair<engine::RowId, engine::Row>>;
+/// Rows by reference into a table, as a server sweep visits them; valid
+/// while the table is not mutated.
+using RowRefs = std::vector<std::pair<engine::RowId, const engine::Row*>>;
 
 std::string EncodeRangeBatchRequest(const RangeBatchRequest& request);
 Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload);
 
+/// u64 row count, then per row its u64 id, u32 width and codec values.
 std::string EncodeRangeBatchReply(const RowsWithIds& rows);
+/// The same bytes, encoded straight from table rows (no row copies).
+std::string EncodeRangeBatchReply(const RowRefs& rows);
 Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload);
 
 std::string EncodeCountBatchReply(uint64_t count);

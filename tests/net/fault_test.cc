@@ -11,6 +11,8 @@
 
 #include "net/remote_connection.h"
 #include "net/wire.h"
+#include "obs/clock.h"
+#include "obs/registry.h"
 #include "proxy/system.h"
 
 namespace mope::net {
@@ -173,6 +175,30 @@ TEST(FaultTest, ServerSideErrorIsReturnedVerbatimNotRetried) {
   ASSERT_FALSE(rows.ok());
   EXPECT_TRUE(rows.status().IsNotFound()) << rows.status().ToString();
   EXPECT_EQ(conn.retries(), 0u);  // an answer, not an outage
+}
+
+TEST(FaultTest, StatusReplyIsTimedLikeAnyCompletedRoundTrip) {
+  // An application error is still a full exchange with the server: its
+  // latency belongs in the round-trip histogram next to the successes.
+  engine::DbServer server = MakeServer();
+  FlakyNet net(&server, {});
+  obs::MetricsRegistry registry;
+  obs::ManualClock clock(/*start_ns=*/0, /*auto_advance_ns=*/1000);
+  RemoteOptions options = net.Options(0);
+  options.registry = &registry;
+  options.clock = &clock;
+  RemoteConnection conn(std::move(options));
+  const obs::ExpHistogram* roundtrip_ns =
+      registry.GetHistogram("net.client.roundtrip_ns");
+
+  ASSERT_TRUE(conn.ExecuteRangeBatch("no_such_table", "key", kRanges)
+                  .status()
+                  .IsNotFound());
+  EXPECT_EQ(roundtrip_ns->Count(), 1u);
+  EXPECT_EQ(roundtrip_ns->Sum(), 1000u);
+  ASSERT_TRUE(conn.ExecuteRangeBatch("data", "key", kRanges).ok());
+  EXPECT_EQ(roundtrip_ns->Count(), 2u);
+  EXPECT_EQ(registry.GetCounter("net.client.roundtrips")->Value(), 2u);
 }
 
 TEST(FaultTest, ConnectionSurvivesAcrossRequests) {
