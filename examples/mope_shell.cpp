@@ -87,8 +87,8 @@ void PrintHelp() {
       "    WHERE l_shipdate BETWEEN 366 AND 730 AND l_discount < 0.05\n\n"
       "EXPLAIN <select> shows the fetch decision and local plan with\n"
       "estimates; EXPLAIN ANALYZE <select> executes it and annotates each\n"
-      "operator with actuals plus the query's resource vector (real/fake\n"
-      "mix, HGD draws, server counter deltas, wire bytes).\n\n"
+      "operator with actuals plus the query's cost record (real/fake\n"
+      "mix, OPE calls, wire bytes, the server's own sweep counts).\n\n"
       "meta-commands:\n"
       "  \\help           this text        \\stats   session traffic\n"
       "  \\tables         schemas          \\rotate  rotate the MOPE key\n"

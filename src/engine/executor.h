@@ -16,11 +16,10 @@
 /// the per-operator `OpenImpl()` / `NextImpl()` overrides. With profiling
 /// off the hook is a single pointer test (no clock reads, no counter
 /// traffic); with profiling on it fills the operator's `OpStats` block —
-/// rows out, `Next()` calls, cumulative wall time from the injectable
-/// `obs::Clock`, and buffer-pool-miss / WAL-byte deltas snapshotted from
-/// registry counters around each call. Timings and counter deltas are
-/// *inclusive* of children, as in PostgreSQL's EXPLAIN ANALYZE; subtract a
-/// child's numbers to get an operator's self cost.
+/// rows out, `Next()` calls and cumulative wall time from the injectable
+/// `obs::Clock`. Timings are *inclusive* of children, as in PostgreSQL's
+/// EXPLAIN ANALYZE; subtract a child's numbers to get an operator's self
+/// cost.
 
 #include <cstdint>
 #include <functional>
@@ -36,7 +35,6 @@
 
 namespace mope::obs {
 class Clock;
-class Counter;
 class MetricsRegistry;
 }  // namespace mope::obs
 
@@ -51,18 +49,11 @@ struct OpStats {
   uint64_t next_ns = 0;        ///< Cumulative Next() time, incl. children.
   uint64_t entries_visited = 0;    ///< Index entries touched (index scans).
   uint64_t nodes_visited = 0;      ///< B+-tree leaf nodes touched.
-  uint64_t pool_misses = 0;    ///< Buffer-pool miss delta attributed here.
-  uint64_t wal_bytes = 0;      ///< WAL byte delta attributed here.
 };
 
-/// Shared profiling context threaded through an operator tree. The clock is
-/// required; the counters are optional delta sources (pass the live
-/// `storage.pool.misses` / `storage.wal.bytes` registry counters to
-/// attribute storage work to the operators that triggered it).
+/// Shared profiling context threaded through an operator tree.
 struct ProfileContext {
-  obs::Clock* clock = nullptr;
-  const obs::Counter* pool_misses = nullptr;
-  const obs::Counter* wal_bytes = nullptr;
+  obs::Clock* clock = nullptr;  ///< Required.
 };
 
 /// Pull-based operator interface.

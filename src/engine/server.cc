@@ -17,39 +17,6 @@ DbServer::DbServer()
       bytes_sent_(metrics_->GetCounter("engine.bytes_sent")),
       batch_ranges_hist_(metrics_->GetHistogram("engine.batch_ranges")) {}
 
-const std::vector<std::string>& ServerProfileProbe::CounterNames() {
-  // Kept small and stable: the engine work counters plus the storage-layer
-  // cost drivers. GetCounter creates absent ones at zero, so a server
-  // without attached storage still reports the storage fields (as zeros).
-  static const std::vector<std::string> kNames = {
-      "engine.batches_received", "engine.segments_scanned",
-      "engine.entries_visited",  "engine.index_nodes_visited",
-      "engine.rows_returned",    "storage.pool.misses",
-      "storage.wal.bytes",       "storage.wal.records",
-  };
-  return kNames;
-}
-
-ServerProfileProbe::ServerProfileProbe(DbServer* server) {
-  obs::MetricsRegistry* metrics = server->metrics();
-  baseline_.reserve(CounterNames().size());
-  for (const std::string& name : CounterNames()) {
-    obs::Counter* counter = metrics->GetCounter(name);
-    baseline_.emplace_back(counter, counter->Value());
-  }
-}
-
-std::vector<std::pair<std::string, uint64_t>> ServerProfileProbe::Delta()
-    const {
-  std::vector<std::pair<std::string, uint64_t>> out;
-  out.reserve(baseline_.size());
-  for (size_t i = 0; i < baseline_.size(); ++i) {
-    out.emplace_back("srv." + CounterNames()[i],
-                     baseline_[i].first->Value() - baseline_[i].second);
-  }
-  return out;
-}
-
 ServerStats DbServer::stats() const {
   ServerStats s;
   s.batches_received = batches_received_->Value();
@@ -97,7 +64,8 @@ Status DbServer::EnableLeakageAudit(const obs::LeakageAuditConfig& config) {
 
 Result<uint64_t> DbServer::SweepRangeBatch(
     const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges, const RowVisitor& visit) {
+    const std::vector<ModularInterval>& ranges, const RowVisitor& visit,
+    obs::QueryCost* cost) {
   MOPE_ASSIGN_OR_RETURN(Table * tbl, catalog_->GetTable(table));
   MOPE_ASSIGN_OR_RETURN(const BPlusTree* index, tbl->GetIndex(column));
 
@@ -123,21 +91,24 @@ Result<uint64_t> DbServer::SweepRangeBatch(
       [&visit, tbl](uint64_t, uint64_t rid) {
         if (visit) visit(rid, tbl->row(rid));
       };
+  const std::vector<Segment> sweeps = CoalesceSegments(std::move(segments));
   uint64_t count = 0;
-  for (const Segment& seg : CoalesceSegments(std::move(segments))) {
-    // Fresh stats per executed sweep so every merged range's node visits
-    // are attributed as they happen — the trace-scoped delta snapshots that
-    // EXPLAIN ANALYZE takes around a request see the full per-sweep cost,
-    // not just the first range's.
-    BPlusTree::ScanStats sweep_stats;
-    const size_t visited =
-        index->ScanRange(seg.lo, seg.hi, on_entry, &sweep_stats);
-    count += visited;
-    entries_visited_->Increment(visited);
-    segments_scanned_->Increment();
-    index_nodes_visited_->Increment(sweep_stats.nodes_visited);
+  BPlusTree::ScanStats scan_stats;  // accumulates over every sweep
+  for (const Segment& seg : sweeps) {
+    count += index->ScanRange(seg.lo, seg.hi, on_entry, &scan_stats);
   }
+  // Every qualifying row is one index entry, so entries and rows agree.
+  segments_scanned_->Increment(sweeps.size());
+  entries_visited_->Increment(count);
+  index_nodes_visited_->Increment(scan_stats.nodes_visited);
   rows_returned_->Increment(count);
+  if (cost != nullptr) {
+    cost->srv_batches_received += 1;
+    cost->srv_segments_scanned += sweeps.size();
+    cost->srv_entries_visited += count;
+    cost->srv_index_nodes_visited += scan_stats.nodes_visited;
+    cost->srv_rows_returned += count;
+  }
   return count;
 }
 
@@ -155,20 +126,21 @@ Result<std::vector<Row>> DbServer::ExecuteRangeBatch(
 
 Result<std::vector<std::pair<RowId, Row>>> DbServer::ExecuteRangeBatchWithIds(
     const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges) {
+    const std::vector<ModularInterval>& ranges, obs::QueryCost* cost) {
   std::vector<std::pair<RowId, Row>> rows;
   MOPE_RETURN_NOT_OK(SweepRangeBatch(table, column, ranges,
                                      [&rows](RowId rid, const Row& row) {
                                        rows.emplace_back(rid, row);
-                                     })
+                                     },
+                                     cost)
                          .status());
   return rows;
 }
 
 Result<uint64_t> DbServer::CountRangeBatch(
     const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges) {
-  return SweepRangeBatch(table, column, ranges, nullptr);
+    const std::vector<ModularInterval>& ranges, obs::QueryCost* cost) {
+  return SweepRangeBatch(table, column, ranges, nullptr, cost);
 }
 
 Result<std::vector<Row>> DbServer::ExecutePlan(Operator* plan) {

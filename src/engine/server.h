@@ -31,6 +31,7 @@
 #include "engine/executor.h"
 #include "engine/table.h"
 #include "obs/leakage.h"
+#include "obs/query_cost.h"
 #include "obs/registry.h"
 
 namespace mope::engine {
@@ -94,11 +95,14 @@ class DbServer {
   /// `table`: all ranges share a single coalesced sweep, and `visit` sees
   /// each qualifying row exactly once, in index order. An empty `visit`
   /// counts without touching rows. Returns the number of qualifying rows
-  /// and credits the batch to the engine counters.
+  /// and credits the batch to the engine counters, once per batch; a
+  /// non-null `cost` gets the same numbers added to its server half (the
+  /// request's own cost, whatever else runs against this server).
   Result<uint64_t> SweepRangeBatch(const std::string& table,
                                    const std::string& column,
                                    const std::vector<ModularInterval>& ranges,
-                                   const RowVisitor& visit);
+                                   const RowVisitor& visit,
+                                   obs::QueryCost* cost = nullptr);
 
   /// SweepRangeBatch, returning copies of the qualifying rows.
   Result<std::vector<Row>> ExecuteRangeBatch(
@@ -108,15 +112,18 @@ class DbServer {
   /// Like ExecuteRangeBatch, but each row is returned together with its
   /// stable row id (DBMSes expose this as ctid/rowid); the proxy uses the
   /// ids to deduplicate rows that multiple overlapping requests returned.
+  /// `cost` as in SweepRangeBatch.
   Result<std::vector<std::pair<RowId, Row>>> ExecuteRangeBatchWithIds(
       const std::string& table, const std::string& column,
-      const std::vector<ModularInterval>& ranges);
+      const std::vector<ModularInterval>& ranges,
+      obs::QueryCost* cost = nullptr);
 
   /// SweepRangeBatch without a visitor: only the number of qualifying rows
   /// (still updates the counters; used by benches that do not need rows).
   Result<uint64_t> CountRangeBatch(const std::string& table,
                                    const std::string& column,
-                                   const std::vector<ModularInterval>& ranges);
+                                   const std::vector<ModularInterval>& ranges,
+                                   obs::QueryCost* cost = nullptr);
 
   /// Runs an arbitrary operator tree (the SQL path uses this).
   Result<std::vector<Row>> ExecutePlan(Operator* plan);
@@ -177,30 +184,6 @@ class DbServer {
   // Declared after catalog_: the DurableCatalog destructor uninstalls its
   // hooks from the catalog's tables, so it must be destroyed first.
   std::unique_ptr<DurableCatalog> durable_;
-};
-
-/// Attributes one request's server-side resource consumption by delta: built
-/// immediately before the engine call, it snapshots a fixed set of counters
-/// from the server's metrics registry; Delta() afterwards yields the
-/// differences as "srv."-prefixed name/value pairs. Zero deltas are included
-/// so the profile's field set is identical on every request — the remote
-/// EXPLAIN ANALYZE test compares an embedded profile to a TCP one field by
-/// field. Single-threaded use around one request (the dispatcher serializes
-/// data operations; DirectConnection is single-threaded by contract).
-class ServerProfileProbe {
- public:
-  explicit ServerProfileProbe(DbServer* server);
-
-  /// Counter deltas since construction, name-ordered, zeros included.
-  std::vector<std::pair<std::string, uint64_t>> Delta() const;
-
-  /// The fixed counter set a probe attributes, in Delta() order and without
-  /// the "srv." prefix (shared with tests and the /metrics reconciliation
-  /// in smoke_remote.sh).
-  static const std::vector<std::string>& CounterNames();
-
- private:
-  std::vector<std::pair<obs::Counter*, uint64_t>> baseline_;
 };
 
 }  // namespace mope::engine

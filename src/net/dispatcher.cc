@@ -19,9 +19,9 @@ namespace {
 /// outcome — EncodeFrame would MOPE_CHECK on it, and a legitimate (or
 /// hostile) wide query must cost a StatusReply, not the process.
 /// `trace_id` (the request's, possibly 0) is echoed on whichever frame goes
-/// back so the client can attribute the reply to its span tree; likewise a
-/// captured `profile` rides on both outcomes — a failed query still consumed
-/// the resources its probe measured.
+/// back so the client can attribute the reply to its span tree; likewise an
+/// encoded `profile` rides on both outcomes — a failed query still reports
+/// what it cost.
 template <typename T, typename Encode>
 std::string ReplyOrStatus(const Result<T>& result, MessageType reply_type,
                           Encode&& encode, size_t max_payload,
@@ -47,13 +47,11 @@ std::string ReplyOrStatus(const Result<T>& result, MessageType reply_type,
                      profile);
 }
 
-/// Fills `*profile_out` with the probe's deltas plus the request's trace id
-/// and returns the wire-encoded profile section.
-std::string CaptureProfile(const engine::ServerProfileProbe& probe,
-                           uint64_t trace_id, StatsReply* profile_out) {
-  *profile_out = probe.Delta();
-  profile_out->emplace_back("profile.trace_id", trace_id);
-  return EncodeStatsReply(*profile_out);
+/// The reply's profile section: the request's cost when the client asked
+/// for it, nothing otherwise (a profile-less request gets a reply without
+/// the extension, whatever the server recorded for its own use).
+std::string ProfileSection(const Frame& frame, const obs::QueryCost* cost) {
+  return frame.has_profile ? EncodeProfileSection(*cost) : std::string();
 }
 
 /// Marks a completed dispatch in the crash flight recorder and persists the
@@ -106,10 +104,9 @@ Result<std::string> WireDispatcher::HandleFrameBytes(std::string_view bytes,
   MOPE_ASSIGN_OR_RETURN(Frame frame, DecodeFrame(bytes, &frame_size));
   if (consumed != nullptr) *consumed = frame_size;
 
-  // Query-log sampling: every Nth data-bearing request is profiled as if
-  // the client had asked for it, and emitted as an `event=query` line after
-  // dispatch. The decision is made pre-dispatch so the probe brackets the
-  // engine call exactly like a client-requested profile does.
+  // Query-log sampling: every Nth data-bearing request has its cost
+  // recorded as if the client had asked for it, and is emitted as an
+  // `event=query` line after dispatch.
   const bool data_bearing =
       frame.type == static_cast<uint8_t>(MessageType::kRangeBatchRequest) ||
       frame.type == static_cast<uint8_t>(MessageType::kCountBatchRequest);
@@ -118,67 +115,65 @@ Result<std::string> WireDispatcher::HandleFrameBytes(std::string_view bytes,
       query_seq_.fetch_add(1, std::memory_order_relaxed) %
               options_.query_log_sample ==
           0;
-  const bool want_profile = frame.has_profile || sampled;
-  StatsReply profile;
 
-  if (options_.slow_query_threshold_ns == 0) {
-    const uint64_t start_ns = clock_->NowNanos();
-    std::string reply;
-    {
-      const MutexLock lock(&mutex_);
-      MOPE_ASSIGN_OR_RETURN(reply,
-                            HandleFrameLocked(frame, want_profile, &profile));
-      server_->AddTransferBytes(frame_size, reply.size());
-    }
-    frames_served_->Increment();
-    const uint64_t elapsed_ns = clock_->NowNanos() - start_ns;
-    dispatch_ns_->Observe(elapsed_ns);
-    if (sampled) EmitQueryLog(frame, elapsed_ns, profile);
-    RecordDispatchDone(frame.trace_id);
-    return reply;
+  // Slow-query mode gives every request a server-side trace, so the
+  // instrumented layers underneath (storage WAL, buffer pool, checkpoint)
+  // attach spans; without it ScopedSpan below records nothing. Adopting the
+  // wire trace id (when the client sent one) is what lets the operator join
+  // this trace against the client's own span tree.
+  std::optional<obs::Trace> trace;
+  std::optional<obs::ScopedTraceActivation> activation;
+  if (options_.slow_query_threshold_ns > 0) {
+    trace.emplace("server.dispatch", clock_, frame.trace_id);
+    activation.emplace(&*trace);
   }
+  // The request's own cost: on the slow-query trace when there is one (so
+  // its export shows it), else only when someone will read it.
+  obs::QueryCost untraced_cost;
+  obs::QueryCost* cost = nullptr;
+  if (trace.has_value()) {
+    cost = &trace->cost();
+  } else if (frame.has_profile || sampled) {
+    cost = &untraced_cost;
+  }
+  if (cost != nullptr) cost->trace_id = frame.trace_id;
 
-  // Slow-query mode: give the request a server-side trace so instrumented
-  // layers underneath (storage WAL, buffer pool, checkpoint) attach spans.
-  // Adopting the wire trace id (when the client sent one) is what lets the
-  // operator join this trace against the client's own span tree.
-  obs::Trace trace("server.dispatch", clock_, frame.trace_id);
-  const obs::ScopedTraceActivation activation(&trace);
   const uint64_t start_ns = clock_->NowNanos();
   std::string reply;
   {
     const obs::ScopedSpan span("server.handle");
     const MutexLock lock(&mutex_);
-    MOPE_ASSIGN_OR_RETURN(reply,
-                          HandleFrameLocked(frame, want_profile, &profile));
+    MOPE_ASSIGN_OR_RETURN(reply, HandleFrameLocked(frame, cost));
     server_->AddTransferBytes(frame_size, reply.size());
   }
   frames_served_->Increment();
   const uint64_t elapsed_ns = clock_->NowNanos() - start_ns;
   dispatch_ns_->Observe(elapsed_ns);
-  if (elapsed_ns >= options_.slow_query_threshold_ns) {
-    ReportSlowQuery(frame, elapsed_ns, trace);
+  if (trace.has_value() && elapsed_ns >= options_.slow_query_threshold_ns) {
+    ReportSlowQuery(frame, elapsed_ns, *trace);
   }
-  if (sampled) EmitQueryLog(frame, elapsed_ns, profile);
+  if (sampled) EmitQueryLog(frame, elapsed_ns, *cost);
   // The server-side trace id (== frame.trace_id when the client sent one),
   // so the done-marker joins the span events already in the ring.
-  RecordDispatchDone(trace.trace_id());
+  RecordDispatchDone(trace.has_value() ? trace->trace_id() : frame.trace_id);
   return reply;
 }
 
 void WireDispatcher::EmitQueryLog(const Frame& frame, uint64_t elapsed_ns,
-                                  const StatsReply& profile) {
-  // One line per sampled query, full profile inline: grep `event=query` and
-  // every resource the server attributed to the request is on the line,
-  // joinable against client-side traces via trace_id. Flows through the
-  // default logger, so its rate limiter has the final say under load.
+                                  const obs::QueryCost& cost) {
+  // One line per sampled query, its cost inline: grep `event=query` and the
+  // server half of the request's record (what a profiled reply carries) is
+  // on the line, joinable against client-side traces via trace_id. Flows
+  // through the default logger, so its rate limiter has the final say.
   obs::LogEvent event(obs::Logger::Default(), obs::LogLevel::kInfo, "server",
                       "query");
   event.Arg("type", static_cast<uint64_t>(frame.type))
       .Arg("elapsed_ns", elapsed_ns)
       .Arg("trace_id", frame.trace_id);
-  for (const auto& [name, value] : profile) {
-    event.Arg(name.c_str(), value);
+  for (const obs::QueryCostField& field : obs::kQueryCostFields) {
+    if (field.half != obs::CostHalf::kClient) {
+      event.Arg(field.name, cost.*field.member);
+    }
   }
 }
 
@@ -247,19 +242,12 @@ Result<engine::Schema> WireDispatcher::LookupSchemaLocked(
 }
 
 Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
-                                                      bool want_profile,
-                                                      StatsReply* profile_out) {
+                                                      obs::QueryCost* cost) {
   switch (static_cast<MessageType>(frame.type)) {
     case MessageType::kRangeBatchRequest: {
       requests_range_batch_->Increment();
       auto request = DecodeRangeBatchRequest(frame.payload);
       if (!request.ok()) return request.status();
-      // The probe brackets the engine call only: a periodic checkpoint that
-      // happens to fire afterwards is a server policy cost, deliberately
-      // excluded from the query's attributed profile (it shows up in the
-      // dispatch latency and the slow-query trace instead).
-      std::optional<engine::ServerProfileProbe> probe;
-      if (want_profile) probe.emplace(server_);
       // Rows are encoded straight from the table: the sweep collects
       // references, which stay valid because nothing mutates the table
       // before the reply is encoded under this same lock.
@@ -268,16 +256,16 @@ Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
           request->table, request->column, request->ranges,
           [&rows](engine::RowId rid, const engine::Row& row) {
             rows.emplace_back(rid, &row);
-          });
-      std::string encoded_profile;
-      if (want_profile) {
-        encoded_profile = CaptureProfile(*probe, frame.trace_id, profile_out);
-      }
+          },
+          cost);
       std::string reply = ReplyOrStatus(
           swept, MessageType::kRangeBatchReply,
           [&rows](uint64_t) { return EncodeRangeBatchReply(rows); },
-          options_.max_reply_payload_bytes, frame.trace_id, want_profile,
-          encoded_profile);
+          options_.max_reply_payload_bytes, frame.trace_id, frame.has_profile,
+          ProfileSection(frame, cost));
+      // A periodic checkpoint is a server policy cost, deliberately outside
+      // the request's cost (it shows in the dispatch latency and the
+      // slow-query trace instead).
       MaybeCheckpointLocked(frame);
       return reply;
     }
@@ -285,19 +273,13 @@ Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
       requests_count_batch_->Increment();
       auto request = DecodeRangeBatchRequest(frame.payload);
       if (!request.ok()) return request.status();
-      std::optional<engine::ServerProfileProbe> probe;
-      if (want_profile) probe.emplace(server_);
       const Result<uint64_t> count = server_->CountRangeBatch(
-          request->table, request->column, request->ranges);
-      std::string encoded_profile;
-      if (want_profile) {
-        encoded_profile = CaptureProfile(*probe, frame.trace_id, profile_out);
-      }
+          request->table, request->column, request->ranges, cost);
       std::string reply = ReplyOrStatus(
           count, MessageType::kCountBatchReply,
           [](uint64_t c) { return EncodeCountBatchReply(c); },
-          options_.max_reply_payload_bytes, frame.trace_id, want_profile,
-          encoded_profile);
+          options_.max_reply_payload_bytes, frame.trace_id, frame.has_profile,
+          ProfileSection(frame, cost));
       MaybeCheckpointLocked(frame);
       return reply;
     }

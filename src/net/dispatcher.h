@@ -62,9 +62,10 @@ struct DispatcherOptions {
   /// triggered one shows exactly where the WAL/buffer-pool time went.
   uint64_t checkpoint_every = 0;
   /// Sampled query log: every Nth data-bearing request (range or count
-  /// batch) is profiled — as if the client had asked — and emitted as a
-  /// structured `event=query` log line carrying the full attributed
-  /// profile, through the default (rate-limited) logger. 0 disables.
+  /// batch) has its cost recorded — as if the client had asked — and is
+  /// emitted as a structured `event=query` log line carrying the server
+  /// half of that cost, through the default (rate-limited) logger. The
+  /// reply is unchanged. 0 disables.
   uint64_t query_log_sample = 0;
 };
 
@@ -92,14 +93,12 @@ class WireDispatcher {
   uint64_t frames_served() const { return frames_served_->Value(); }
 
  private:
-  /// `want_profile` makes the data-bearing cases snapshot the server's
-  /// counters around the engine call (engine::ServerProfileProbe) and attach
-  /// the deltas — plus the request's trace id — to the reply as the wire
-  /// profile extension; `*profile_out` receives the same entries for the
-  /// sampled query log. Non-data-bearing requests ignore the flag: their
-  /// deltas are all zero and the embedded path attributes the same set.
-  Result<std::string> HandleFrameLocked(const Frame& frame, bool want_profile,
-                                        StatsReply* profile_out)
+  /// Dispatches one decoded request. A non-null `cost` receives the
+  /// request's own server-side cost from the sweep; data-bearing replies to
+  /// a request that asked for it (`frame.has_profile`) carry it back as the
+  /// wire profile section. Other requests execute no query and attach none.
+  Result<std::string> HandleFrameLocked(const Frame& frame,
+                                        obs::QueryCost* cost)
       MOPE_REQUIRES(mutex_);
   /// Catalog lookup for a schema request (split out so the capability
   /// analysis sees the engine access inside the dispatch critical section).
@@ -113,7 +112,7 @@ class WireDispatcher {
                        const obs::Trace& trace);
   /// Emits the sampled `event=query` structured log line.
   void EmitQueryLog(const Frame& frame, uint64_t elapsed_ns,
-                    const StatsReply& profile);
+                    const obs::QueryCost& cost);
 
   /// Serializes engine access: DbServer is single-threaded by design (the
   /// paper's server is one unmodified DBMS), so the pointee is guarded even

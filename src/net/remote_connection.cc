@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "net/inmem.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "proxy/connection_registry.h"
 
@@ -66,12 +65,13 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
   // One span per application-level round trip (retries included): in a query
   // trace, N of these under one segment shows the real/fake batch fan-out.
   const obs::ScopedSpan span("net.roundtrip");
-  const uint64_t trace_id = obs::CurrentTraceId();
-  // An active profile collector turns on the frame's profile extension: the
-  // request carries an empty section ("profile me"), the reply brings back
-  // the server's attributed counter deltas, merged below.
-  obs::ProfileCollector* collector = obs::CurrentProfileCollector();
-  const bool want_profile = collector != nullptr;
+  obs::Trace* trace = obs::CurrentTrace();
+  const uint64_t trace_id = trace != nullptr ? trace->trace_id() : 0;
+  // A trace that asked for the server's cost turns on the frame's profile
+  // extension: the request carries an empty section ("profile me"), the
+  // reply brings back the server half of the request's cost, merged below.
+  const bool want_profile =
+      trace != nullptr && trace->server_cost_requested();
   const uint64_t start_ns = clock_->NowNanos();
   const MutexLock lock(&mutex_);
   roundtrips_->Increment();
@@ -79,7 +79,7 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
   for (uint32_t attempt = 0; attempt <= options_.max_retries; ++attempt) {
     if (attempt > 0) {
       retries_->Increment();
-      obs::BumpTraceCounter("net.retries");
+      obs::ChargeCost(&obs::QueryCost::net_retries);
       const int backoff = std::min(
           options_.backoff_max_ms,
           options_.backoff_initial_ms << std::min(attempt - 1, 20u));
@@ -122,25 +122,21 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
     // Every exchange that got a reply is a completed round trip, an
     // application error (kStatusReply) included.
     roundtrip_ns_->Observe(clock_->NowNanos() - start_ns);
-    if (collector != nullptr) {
-      collector->Add("net.frames", 1);
-      collector->Add("net.frame_bytes_sent", sent_bytes);
-      collector->Add("net.frame_bytes_received", received_bytes);
-      if (frame->has_profile) {
-        auto entries = DecodeStatsReply(frame->profile);
-        if (!entries.ok()) {
+    if (trace != nullptr) {
+      obs::QueryCost& cost = trace->cost();
+      cost.net_frames += 1;
+      cost.net_frame_bytes_sent += sent_bytes;
+      cost.net_frame_bytes_received += received_bytes;
+      if (want_profile && frame->has_profile) {
+        // Decoded whole before anything merges: a bad section leaves the
+        // record as it was. Counts add across the query's round trips (one
+        // per batch); the trace id overwrites.
+        auto server_cost = DecodeProfileSection(frame->profile);
+        if (!server_cost.ok()) {
           DisconnectLocked();
-          return entries.status();
+          return server_cost.status();
         }
-        for (const auto& [name, value] : *entries) {
-          // Ids overwrite; resource deltas accumulate across the query's
-          // round trips (one per segment batch).
-          if (name == "profile.trace_id") {
-            collector->Set(name, value);
-          } else {
-            collector->Add(name, value);
-          }
-        }
+        cost.Merge(*server_cost);
       }
     }
     if (frame->type == static_cast<uint8_t>(MessageType::kStatusReply)) {

@@ -450,6 +450,30 @@ Result<StatsReply> DecodeStatsReply(std::string_view payload) {
   return stats;
 }
 
+std::string EncodeProfileSection(const obs::QueryCost& cost) {
+  StatsReply entries;
+  for (const obs::QueryCostField& field : obs::kQueryCostFields) {
+    if (field.half != obs::CostHalf::kClient) {
+      entries.emplace_back(field.name, cost.*field.member);
+    }
+  }
+  return EncodeStatsReply(entries);
+}
+
+Result<obs::QueryCost> DecodeProfileSection(std::string_view section) {
+  MOPE_ASSIGN_OR_RETURN(StatsReply entries, DecodeStatsReply(section));
+  obs::QueryCost cost;
+  for (const auto& [name, value] : entries) {
+    for (const obs::QueryCostField& field : obs::kQueryCostFields) {
+      if (field.half == obs::CostHalf::kClient || name != field.name) continue;
+      obs::QueryCost entry;
+      entry.*field.member = value;
+      cost.Merge(entry);
+    }
+  }
+  return cost;
+}
+
 std::string EncodeStatusReply(const Status& status) {
   MOPE_CHECK(!status.ok(), "status reply must carry an error");
   std::string out;

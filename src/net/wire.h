@@ -23,8 +23,9 @@
 ///   kFrameFlagHasProfile  a u32 length followed by that many bytes of
 ///                         profile (StatsReply-encoded name/u64 pairs).
 ///                         On a request an empty profile section asks the
-///                         server to attribute this request's resource
-///                         deltas; the reply carries them back.
+///                         server for this request's cost; the reply
+///                         carries the server half of an obs::QueryCost
+///                         back (EncodeProfileSection).
 ///
 /// Frames that use no extension are still emitted as byte-identical
 /// version-1 frames, so an old peer interoperates until tracing or
@@ -53,6 +54,7 @@
 #include "common/status.h"
 #include "engine/table.h"
 #include "net/transport.h"
+#include "obs/query_cost.h"
 
 namespace mope::net {
 
@@ -86,8 +88,8 @@ enum class MessageType : uint8_t {
 /// Status instead of dropping the connection. `trace_id` is nonzero when the
 /// peer stamped the frame with an active query trace (version-2 extension).
 /// `has_profile` is true when the frame carried the profile extension —
-/// empty on a request (meaning "profile me"), filled with attributed
-/// counter deltas on a reply.
+/// empty on a request (meaning "profile me"), the request's server-side
+/// cost on a reply.
 struct Frame {
   uint8_t type = 0;
   uint64_t trace_id = 0;
@@ -170,6 +172,16 @@ using StatsReply = std::vector<std::pair<std::string, uint64_t>>;
 
 std::string EncodeStatsReply(const StatsReply& stats);
 Result<StatsReply> DecodeStatsReply(std::string_view payload);
+
+/// A reply's profile section: the server half of `cost` and its trace id,
+/// StatsReply-encoded in obs::kQueryCostFields order.
+std::string EncodeProfileSection(const obs::QueryCost& cost);
+/// Decodes a profile section into a fresh record, all or nothing. Only the
+/// server-half names and the trace id are kept, merged entry by entry
+/// (QueryCost::Merge); every other name is dropped, so a peer can neither
+/// forge client-half fields nor add new ones. Corruption when the bytes are
+/// not a StatsReply.
+Result<obs::QueryCost> DecodeProfileSection(std::string_view section);
 
 /// Precondition: !status.ok() (an OK status reply is meaningless on the wire
 /// and is rejected by the decoder).

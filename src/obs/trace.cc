@@ -64,19 +64,9 @@ void Trace::EndSpan(uint32_t id) {
   }
 }
 
-void Trace::IncrementCounter(const std::string& name, uint64_t n) {
-  const MutexLock lock(&mutex_);
-  counters_[name] += n;
-}
-
 std::vector<Span> Trace::spans() const {
   const MutexLock lock(&mutex_);
   return spans_;
-}
-
-std::map<std::string, uint64_t> Trace::counters() const {
-  const MutexLock lock(&mutex_);
-  return counters_;
 }
 
 size_t Trace::CountSpans(const std::string& span_name) const {
@@ -129,8 +119,9 @@ std::string Trace::RenderTree() const {
                   "", span.name.c_str(), static_cast<double>(dur_ns) / 1000.0);
     out += line;
   }
-  for (const auto& [name, value] : counters_) {
-    out += "  #" + name + " = " + std::to_string(value) + "\n";
+  for (const QueryCostField& field : kQueryCostFields) {
+    out += std::string("  #") + field.name + " = " +
+           std::to_string(cost_.*field.member) + "\n";
   }
   return out;
 }

@@ -13,8 +13,9 @@
 /// active trace and is a no-op (two branches, no allocation) when tracing is
 /// off, which is what keeps the hot paths honest.
 ///
-/// The trace also carries named counters (HGD draws, decrypt calls) that are
-/// too fine-grained to be spans, and a 64-bit trace id that RemoteConnection
+/// The trace also carries the query's cost record (obs/query_cost.h): counts
+/// too fine-grained to be spans (OPE calls, HGD draws, wire frames) and the
+/// server's half of the cost. Its 64-bit trace id is what RemoteConnection
 /// stamps into the wire frame header so a server can correlate its own
 /// accounting with the client's span tree (see net/wire.h, version 2
 /// frames).
@@ -25,12 +26,12 @@
 /// wall clock, no randomness.
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/thread_annotations.h"
 #include "obs/clock.h"
+#include "obs/query_cost.h"
 
 namespace mope::obs {
 
@@ -60,12 +61,18 @@ class Trace {
   uint32_t StartSpan(std::string span_name);
   void EndSpan(uint32_t id);
 
-  /// Bumps a per-trace named counter (for events too frequent to span).
-  void IncrementCounter(const std::string& name, uint64_t n = 1);
+  /// The query's cost record. Unlocked: only the thread the trace is
+  /// active on writes it, so read it once the traced work has returned.
+  QueryCost& cost() { return cost_; }
+  const QueryCost& cost() const { return cost_; }
+
+  /// Makes every server round trip under this trace ask for the server's
+  /// half of the cost (EXPLAIN ANALYZE). Set before activation.
+  void RequestServerCost() { server_cost_requested_ = true; }
+  bool server_cost_requested() const { return server_cost_requested_; }
 
   // --- Inspection (safe after, or concurrently with, recording) -----------
   std::vector<Span> spans() const;
-  std::map<std::string, uint64_t> counters() const;
 
   /// Number of spans whose name is exactly `span_name`.
   size_t CountSpans(const std::string& span_name) const;
@@ -75,7 +82,7 @@ class Trace {
   bool TimingsMonotone() const;
 
   /// Indented ASCII rendering of the tree with durations in microseconds,
-  /// followed by the per-trace counters.
+  /// followed by every cost field.
   std::string RenderTree() const;
 
  private:
@@ -87,13 +94,14 @@ class Trace {
   std::vector<Span> spans_ MOPE_GUARDED_BY(mutex_);
   /// 1-based ids of open spans.
   std::vector<uint32_t> open_stack_ MOPE_GUARDED_BY(mutex_);
-  std::map<std::string, uint64_t> counters_ MOPE_GUARDED_BY(mutex_);
+  QueryCost cost_;
+  bool server_cost_requested_ = false;
 };
 
 // --- Thread-local activation ---------------------------------------------
 
 /// The trace active on this thread, or nullptr. Instrumented code calls
-/// this (via ScopedSpan / BumpTraceCounter) instead of taking a Trace
+/// this (via ScopedSpan / ChargeCost) instead of taking a Trace
 /// parameter.
 Trace* CurrentTrace();
 
@@ -133,10 +141,11 @@ class ScopedSpan {
   uint32_t id_ = 0;
 };
 
-/// Bumps a counter on the active trace; no-op when tracing is off.
-inline void BumpTraceCounter(const char* name, uint64_t n = 1) {
+/// Adds `n` to one field of the active trace's cost record; no-op (one
+/// branch) when tracing is off.
+inline void ChargeCost(uint64_t QueryCost::*field, uint64_t n = 1) {
   Trace* trace = CurrentTrace();
-  if (trace != nullptr) trace->IncrementCounter(name, n);
+  if (trace != nullptr) trace->cost().*field += n;
 }
 
 }  // namespace mope::obs

@@ -1,7 +1,6 @@
 #include "obs/trace_export.h"
 
 #include <cstdio>
-#include <map>
 #include <sstream>
 #include <vector>
 
@@ -9,9 +8,9 @@ namespace mope::obs {
 
 namespace {
 
-/// JSON string escaping for the small charset that can appear in span and
-/// counter names (they are C string literals in practice, but the format
-/// must stay valid for anything).
+/// JSON string escaping for the small charset that can appear in trace and
+/// span names (they are C string literals in practice, but the format must
+/// stay valid for anything).
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -46,7 +45,6 @@ std::string JsonEscape(const std::string& s) {
 
 std::string ExportChromeTrace(const Trace& trace, int pid, int tid) {
   const std::vector<Span> spans = trace.spans();
-  const std::map<std::string, uint64_t> counters = trace.counters();
 
   std::ostringstream out;
   out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
@@ -70,12 +68,12 @@ std::string ExportChromeTrace(const Trace& trace, int pid, int tid) {
         << ",\"dur\":" << dur_us << "}";
   }
 
-  // Counters as one final sample each, so the viewer's counter track shows
-  // the per-trace totals at the point the query finished.
-  for (const auto& [name, value] : counters) {
+  // Cost fields as one final sample each, so the viewer's counter track
+  // shows the query's totals at the point it finished.
+  for (const QueryCostField& field : kQueryCostFields) {
     out << ",{\"ph\":\"C\",\"pid\":" << pid << ",\"name\":\""
-        << JsonEscape(name) << "\",\"ts\":" << last_end_us
-        << ",\"args\":{\"value\":" << value << "}}";
+        << field.name << "\",\"ts\":" << last_end_us
+        << ",\"args\":{\"value\":" << trace.cost().*field.member << "}}";
   }
 
   // The trace id rides along so an exported file can be joined against the

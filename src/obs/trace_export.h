@@ -10,8 +10,9 @@
 /// becomes one complete ("ph": "X") event with microsecond ts/dur, nesting
 /// reconstructed by the viewer from timestamps on a single thread track, a
 /// metadata ("ph": "M") event names the track after the trace, and each
-/// per-trace counter becomes one counter ("ph": "C") event at the trace's
-/// end so the viewer shows final totals.
+/// field of the trace's cost record (obs/query_cost.h, in table order)
+/// becomes one counter ("ph": "C") event at the trace's end so the viewer
+/// shows final totals.
 ///
 /// Output is deterministic: events are emitted in span-vector order (which
 /// is start order), keys in a fixed order, and nothing but the trace's own

@@ -73,7 +73,7 @@ Result<uint64_t> OpeScheme::SampleSplit(uint64_t dlo, uint64_t m_count,
                                         uint64_t rlo, uint64_t n_count,
                                         uint64_t draws) const {
   hgd_draws_->Increment();
-  obs::BumpTraceCounter("ope.hgd_draws");
+  obs::ChargeCost(&obs::QueryCost::ope_hgd_draws);
   crypto::TagBuilder tag(kSplitLabel);
   tag.AppendU64(dlo).AppendU64(m_count).AppendU64(rlo).AppendU64(n_count);
   const crypto::Block seed = prf_.Eval(tag.data(), tag.size());
@@ -133,7 +133,7 @@ Result<OpeScheme::Landing> OpeScheme::Locate(uint64_t c) const {
                               std::to_string(params_.range));
   }
   decrypt_calls_->Increment();
-  obs::BumpTraceCounter("ope.decrypt_calls");
+  obs::ChargeCost(&obs::QueryCost::ope_decrypt_calls);
   if (table_ != nullptr) {
     const auto it = std::lower_bound(table_->begin(), table_->end(), c);
     return Landing{static_cast<uint64_t>(it - table_->begin()),
@@ -161,7 +161,7 @@ Result<uint64_t> OpeScheme::Encrypt(uint64_t m) const {
                               std::to_string(params_.domain));
   }
   encrypt_calls_->Increment();
-  obs::BumpTraceCounter("ope.encrypt_calls");
+  obs::ChargeCost(&obs::QueryCost::ope_encrypt_calls);
   if (table_ != nullptr) return (*table_)[m];
   uint64_t cipher = 0;
   auto enter = [m](const Node& child) {

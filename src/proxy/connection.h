@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "engine/server.h"
 #include "engine/table.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 
 namespace mope::proxy {
@@ -59,11 +58,11 @@ class ServerConnection {
 
 /// In-process connection to an embedded DbServer.
 ///
-/// Profile parity with the wire path: when a thread-local ProfileCollector
-/// is active (EXPLAIN ANALYZE), each data-bearing call is bracketed by an
-/// engine::ServerProfileProbe — the same fixed counter set the remote
-/// dispatcher snapshots — so an embedded query's profile is field-identical
-/// to one collected across TCP.
+/// Cost parity with the wire path: when the active trace asked for the
+/// server's cost (EXPLAIN ANALYZE), each data-bearing call adds the sweep's
+/// own counts to the trace's record and stamps it with the trace id, which
+/// is what RemoteConnection merges from a reply's profile section. So an
+/// embedded query's record is field-identical to one collected across TCP.
 class DirectConnection final : public ServerConnection {
  public:
   explicit DirectConnection(engine::DbServer* server) : server_(server) {}
@@ -71,14 +70,8 @@ class DirectConnection final : public ServerConnection {
   Result<std::vector<std::pair<engine::RowId, engine::Row>>> ExecuteRangeBatch(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges) override {
-    obs::ProfileCollector* collector = obs::CurrentProfileCollector();
-    if (collector == nullptr) {
-      return server_->ExecuteRangeBatchWithIds(table, column, ranges);
-    }
-    const engine::ServerProfileProbe probe(server_);
-    auto rows = server_->ExecuteRangeBatchWithIds(table, column, ranges);
-    MergeProfile(probe, collector);
-    return rows;
+    return server_->ExecuteRangeBatchWithIds(table, column, ranges,
+                                             RequestedServerCost());
   }
 
   Result<engine::Schema> GetSchema(const std::string& table) override {
@@ -92,14 +85,8 @@ class DirectConnection final : public ServerConnection {
   Result<uint64_t> CountRangeBatch(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges) override {
-    obs::ProfileCollector* collector = obs::CurrentProfileCollector();
-    if (collector == nullptr) {
-      return server_->CountRangeBatch(table, column, ranges);
-    }
-    const engine::ServerProfileProbe probe(server_);
-    auto count = server_->CountRangeBatch(table, column, ranges);
-    MergeProfile(probe, collector);
-    return count;
+    return server_->CountRangeBatch(table, column, ranges,
+                                    RequestedServerCost());
   }
 
   Result<std::vector<std::pair<std::string, uint64_t>>> FetchServerStats()
@@ -108,14 +95,13 @@ class DirectConnection final : public ServerConnection {
   }
 
  private:
-  /// Mirrors the remote merge in RemoteConnection::RoundTrip: deltas add
-  /// across the query's per-segment calls, the trace id overwrites.
-  static void MergeProfile(const engine::ServerProfileProbe& probe,
-                           obs::ProfileCollector* collector) {
-    for (const auto& [name, value] : probe.Delta()) {
-      collector->Add(name, value);
-    }
-    collector->Set("profile.trace_id", obs::CurrentTraceId());
+  /// The active trace's cost record, stamped with its id, when the trace
+  /// asked for the server's cost; nullptr otherwise.
+  static obs::QueryCost* RequestedServerCost() {
+    obs::Trace* trace = obs::CurrentTrace();
+    if (trace == nullptr || !trace->server_cost_requested()) return nullptr;
+    trace->cost().trace_id = trace->trace_id();
+    return &trace->cost();
   }
 
   engine::DbServer* server_;

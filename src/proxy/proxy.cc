@@ -172,7 +172,7 @@ Result<std::vector<std::pair<engine::RowId, engine::Row>>> Proxy::SendBatch(
     ++attempt;
     ++retries_performed_;
     retries_->Increment();
-    obs::BumpTraceCounter("proxy.retries");
+    obs::ChargeCost(&obs::QueryCost::proxy_retries);
   }
 }
 

@@ -23,31 +23,21 @@ Status EncryptedSqlSession::AttachClientTable(
 
 Result<sql::SqlResult> EncryptedSqlSession::Execute(
     const std::string& sql_text) {
-  // EXPLAIN ANALYZE always runs traced + profiled: the actuals and the
-  // resource vector *are* the result. The prefix peek is cheap and a false
-  // negative on malformed input just means the parse error surfaces on the
-  // untraced path.
+  // EXPLAIN ANALYZE always runs traced, with the server's cost: the actuals
+  // and the cost record *are* the result. The prefix peek is cheap and a
+  // false negative on malformed input just means the parse error surfaces
+  // on the untraced path.
   const bool analyze = sql::IsExplainAnalyze(sql_text);
   if (!tracing_enabled_ && !analyze) return ExecuteImpl(sql_text);
 
   // A fresh trace per statement: the activation makes it visible to every
   // instrumented layer below (proxy, OPE, wire) without touching signatures,
-  // and RemoteConnection stamps its id into outgoing frames.
+  // and RemoteConnection stamps its id into outgoing frames. Asking for the
+  // server's cost is what makes every round trip under it request (and
+  // merge back) the server half of the record.
   auto trace = std::make_unique<obs::Trace>("sql.execute", trace_clock_);
+  if (analyze) trace->RequestServerCost();
   const obs::ScopedTraceActivation activate(trace.get());
-  if (analyze) {
-    // The collector is what flips the wire layer into profile mode: every
-    // round trip under this scope requests (and merges back) the server's
-    // attributed counter deltas.
-    auto profile = std::make_unique<obs::ProfileCollector>();
-    Result<sql::SqlResult> result = [&] {
-      const obs::ScopedProfileActivation profiling(profile.get());
-      return ExecuteImpl(sql_text);
-    }();
-    last_profile_ = std::move(profile);
-    last_trace_ = std::move(trace);
-    return result;
-  }
   Result<sql::SqlResult> result = ExecuteImpl(sql_text);
   last_trace_ = std::move(trace);
   return result;
@@ -212,9 +202,6 @@ Result<sql::SqlResult> EncryptedSqlSession::ExplainImpl(sql::SelectStmt stmt,
     engine::ProfileContext ctx;
     ctx.clock =
         trace_clock_ != nullptr ? trace_clock_ : obs::SystemClock();
-    // The local exec runs over the in-memory scratch catalog, so there are
-    // no storage counters to attribute here; the server-side pool/WAL costs
-    // arrive via the wire profile (srv.storage.*) instead.
     plan.root->EnableProfiling(&ctx);
     {
       const obs::ScopedSpan span("session.local_exec");
@@ -230,10 +217,9 @@ Result<sql::SqlResult> EncryptedSqlSession::ExplainImpl(sql::SelectStmt stmt,
   }
 
   if (analyze) {
-    // The query-level resource vector, one entry per line: the session's
-    // real/fake accounting, the trace's fine-grained counters (HGD draws,
-    // OPE calls), and everything the profile collector gathered (server
-    // counter deltas keyed srv.*, wire bytes keyed net.*).
+    // The query-level resources, one entry per line: the session's
+    // real/fake accounting, then every field of the trace's cost record in
+    // table order. The names come from the table, never from the server.
     lines.push_back("Resources:");
     lines.push_back("  session: ranges=" +
                     std::to_string(stats_.ranges_fetched) +
@@ -243,14 +229,9 @@ Result<sql::SqlResult> EncryptedSqlSession::ExplainImpl(sql::SelectStmt stmt,
                     " server_requests=" +
                     std::to_string(stats_.server_requests));
     if (const obs::Trace* trace = obs::CurrentTrace(); trace != nullptr) {
-      for (const auto& [name, value] : trace->counters()) {
-        lines.push_back("  trace." + name + "=" + std::to_string(value));
-      }
-    }
-    if (const obs::ProfileCollector* profile = obs::CurrentProfileCollector();
-        profile != nullptr) {
-      for (const auto& [name, value] : profile->entries()) {
-        lines.push_back("  " + name + "=" + std::to_string(value));
+      for (const obs::QueryCostField& field : obs::kQueryCostFields) {
+        lines.push_back(std::string("  ") + field.name + "=" +
+                        std::to_string(trace->cost().*field.member));
       }
     }
   }

@@ -24,7 +24,6 @@
 
 #include "common/status.h"
 #include "engine/table.h"
-#include "obs/profile.h"
 #include "obs/trace.h"
 #include "proxy/system.h"
 #include "sql/planner.h"
@@ -50,13 +49,13 @@ class EncryptedSqlSession {
   /// one-column result: a Fetch header (which encrypted column, how many
   /// coalesced segments) plus the local operator tree with the planner's
   /// cardinality estimates. `EXPLAIN ANALYZE <select>` executes the
-  /// statement under a fresh trace + profile (regardless of EnableTracing)
-  /// and annotates each operator with actuals — rows, Next() calls,
-  /// inclusive nanoseconds, index entries/nodes — followed by the
-  /// query-level resource vector: the real/fake query mix, trace counters
-  /// (HGD draws, OPE encrypt/decrypt calls), and every profile entry the
-  /// server attributed to this query's trace id (srv.* counter deltas,
-  /// net.* frame bytes). Readable afterwards via last_profile().
+  /// statement under a fresh trace that asks the server for its cost
+  /// (regardless of EnableTracing) and annotates each operator with actuals
+  /// — rows, Next() calls, inclusive nanoseconds, index entries/nodes —
+  /// followed by the query-level resources: the real/fake query mix and
+  /// every field of the trace's cost record (obs/query_cost.h), client
+  /// half and the server half attributed to this query's trace id.
+  /// Readable afterwards via last_trace()->cost().
   Result<sql::SqlResult> Execute(const std::string& sql_text);
 
   /// Accounting for the most recent Execute call.
@@ -83,16 +82,10 @@ class EncryptedSqlSession {
     last_trace_.reset();
   }
 
-  /// Span tree of the most recent Execute, or null if tracing is off (or
-  /// nothing ran yet). EXPLAIN ANALYZE always records one.
+  /// Span tree and cost record of the most recent Execute, or null if
+  /// tracing is off (or nothing ran yet). EXPLAIN ANALYZE always records
+  /// one, with the server half of the cost filled in.
   const obs::Trace* last_trace() const { return last_trace_.get(); }
-
-  /// Resource profile of the most recent EXPLAIN ANALYZE, or null. Entries:
-  /// srv.* (server counter deltas attributed to this query), net.* (wire
-  /// frames/bytes, zero for an embedded server), profile.trace_id.
-  const obs::ProfileCollector* last_profile() const {
-    return last_profile_.get();
-  }
 
  private:
   /// The per-statement fetch decision: which encrypted column, through which
@@ -129,7 +122,6 @@ class EncryptedSqlSession {
   bool tracing_enabled_ = false;
   obs::Clock* trace_clock_ = nullptr;
   std::unique_ptr<obs::Trace> last_trace_;
-  std::unique_ptr<obs::ProfileCollector> last_profile_;
 };
 
 }  // namespace mope::proxy

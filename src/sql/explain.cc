@@ -30,21 +30,13 @@ void RenderNode(engine::Operator* op, int depth, const ExplainOptions& options,
                   s.rows_out, s.next_calls, s.open_ns + s.next_ns);
     line += actual;
     // Data-access detail only where there is any: scans attribute index
-    // entries / nodes, storage-backed work attributes pool misses and WAL
-    // bytes. Zero rows of detail render nothing, keeping plans readable.
+    // entries / nodes. Zero detail renders nothing, keeping plans readable.
     if (s.entries_visited != 0 || s.nodes_visited != 0) {
       char access[96];
       std::snprintf(access, sizeof(access),
                     " (entries=%" PRIu64 " nodes=%" PRIu64 ")",
                     s.entries_visited, s.nodes_visited);
       line += access;
-    }
-    if (s.pool_misses != 0 || s.wal_bytes != 0) {
-      char storage[96];
-      std::snprintf(storage, sizeof(storage),
-                    " (pool_misses=%" PRIu64 " wal_bytes=%" PRIu64 ")",
-                    s.pool_misses, s.wal_bytes);
-      line += storage;
     }
   }
   out->push_back(std::move(line));

@@ -136,22 +136,6 @@ TEST(OpStatsTest, EverySweepOfAMultiRangeScanIsAttributed) {
   EXPECT_GT(per_sweep[2], per_sweep[0]);
 }
 
-TEST(OpStatsTest, StorageCounterDeltasAttachWhenProvided) {
-  auto t = NumbersTable(10);
-  SeqScanOp scan(t.get());
-  obs::ManualClock clock(0, 1);
-  obs::MetricsRegistry registry;
-  obs::Counter* misses = registry.GetCounter("storage.pool.misses");
-  misses->Increment(7);  // pre-existing activity must not be attributed
-  ProfileContext ctx;
-  ctx.clock = &clock;
-  ctx.pool_misses = misses;
-  scan.EnableProfiling(&ctx);
-  ASSERT_TRUE(Collect(&scan).ok());
-  // The in-memory table causes no misses: the delta is zero, not seven.
-  EXPECT_EQ(scan.stats().pool_misses, 0u);
-}
-
 TEST(FoldOpStatsTest, ProfiledTreeFoldsIntoPerTypeHistograms) {
   auto t = NumbersTable(10);
   auto scan = std::make_unique<SeqScanOp>(t.get());

@@ -1,14 +1,13 @@
 /// EXPLAIN ANALYZE across the trust boundary, end to end: a same-seed
-/// remote session over real loopback TCP must produce a resource profile
-/// whose server-attributed fields are *identical* to the embedded session's
-/// (same field set, same values — the cover traffic is deterministic), the
-/// profile's trace id must be the one stamped on the wire frames, and a
+/// remote session over real loopback TCP must produce a cost record whose
+/// fields other than net.* are *identical* to the embedded session's (the
+/// cover traffic is deterministic), the record's trace id must be the one
+/// stamped on the wire frames, and a
 /// profile-less v1 peer talking to the same live daemon must keep getting
 /// byte-identical version-1 replies.
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,6 +18,7 @@
 #include "net/server.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "obs/query_cost.h"
 #include "proxy/sql_session.h"
 #include "proxy/system.h"
 
@@ -73,8 +73,8 @@ TEST(RemoteExplainTest, RemoteProfileMatchesEmbeddedFieldForField) {
   proxy::EncryptedSqlSession embedded(&owner);
   auto embedded_result = embedded.Execute(kSql);
   ASSERT_TRUE(embedded_result.ok()) << embedded_result.status().ToString();
-  ASSERT_NE(embedded.last_profile(), nullptr);
-  const auto embedded_profile = embedded.last_profile()->entries();
+  ASSERT_NE(embedded.last_trace(), nullptr);
+  const obs::QueryCost embedded_cost = embedded.last_trace()->cost();
 
   // Remote: same seed, fresh system, attached over loopback TCP.
   proxy::MopeSystem remote_system(kSeed);
@@ -88,30 +88,30 @@ TEST(RemoteExplainTest, RemoteProfileMatchesEmbeddedFieldForField) {
   proxy::EncryptedSqlSession remote(&remote_system);
   auto remote_result = remote.Execute(kSql);
   ASSERT_TRUE(remote_result.ok()) << remote_result.status().ToString();
-  ASSERT_NE(remote.last_profile(), nullptr);
-  const auto remote_profile = remote.last_profile()->entries();
+  ASSERT_NE(remote.last_trace(), nullptr);
+  const obs::QueryCost remote_cost = remote.last_trace()->cost();
 
-  // The server-attributed entries are field-identical AND value-identical:
-  // the same-seed remote proxy re-derives the key and fake sequence, so the
-  // daemon does exactly the work the embedded server did.
-  for (const auto& [name, value] : embedded_profile) {
-    if (name.rfind("srv.", 0) != 0) continue;
-    auto it = remote_profile.find(name);
-    ASSERT_NE(it, remote_profile.end()) << "remote profile missing " << name;
-    EXPECT_EQ(it->second, value) << name;
-  }
-  for (const auto& [name, value] : remote_profile) {
-    if (name.rfind("srv.", 0) == 0) {
-      EXPECT_TRUE(embedded_profile.count(name))
-          << "embedded profile missing " << name;
+  // The records are field-identical AND value-identical except net.*: the
+  // same-seed remote proxy re-derives the key and fake sequence, so the
+  // daemon does exactly the work the embedded server did. Each names its
+  // own trace.
+  for (const obs::QueryCostField& field : obs::kQueryCostFields) {
+    const std::string name = field.name;
+    if (name.rfind("net.", 0) == 0) continue;
+    if (field.half == obs::CostHalf::kId) {
+      EXPECT_EQ(embedded_cost.*field.member,
+                embedded.last_trace()->trace_id());
+      EXPECT_EQ(remote_cost.*field.member, remote.last_trace()->trace_id());
+      continue;
     }
+    EXPECT_EQ(remote_cost.*field.member, embedded_cost.*field.member)
+        << name;
   }
-  // Both paths name their trace; only the remote one paid wire bytes.
-  EXPECT_TRUE(embedded_profile.count("profile.trace_id"));
-  EXPECT_TRUE(remote_profile.count("profile.trace_id"));
-  EXPECT_GT(remote.last_profile()->Value("net.frames"), 0u);
-  EXPECT_GT(remote.last_profile()->Value("net.frame_bytes_received"), 0u);
-  EXPECT_EQ(embedded.last_profile()->Value("net.frames"), 0u);
+  EXPECT_GT(embedded_cost.srv_batches_received, 0u);
+  // Only the remote path paid wire bytes.
+  EXPECT_GT(remote_cost.net_frames, 0u);
+  EXPECT_GT(remote_cost.net_frame_bytes_received, 0u);
+  EXPECT_EQ(embedded_cost.net_frames, 0u);
 
   // The rendered output agrees modulo the wire-only resource lines (the
   // remote resource vector additionally reports net.* frame accounting).
@@ -141,8 +141,7 @@ TEST(RemoteExplainTest, ProfileTraceIdIsTheFrameTraceId) {
   // it back inside the profile payload: agreement here proves the id
   // traveled request frame -> server attribution -> profile, uncorrupted.
   ASSERT_NE(session.last_trace(), nullptr);
-  ASSERT_NE(session.last_profile(), nullptr);
-  EXPECT_EQ(session.last_profile()->Value("profile.trace_id"),
+  EXPECT_EQ(session.last_trace()->cost().trace_id,
             session.last_trace()->trace_id());
 }
 

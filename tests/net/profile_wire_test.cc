@@ -11,10 +11,13 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "engine/server.h"
 #include "net/dispatcher.h"
 #include "net/wire.h"
+#include "obs/log.h"
+#include "obs/query_cost.h"
 
 namespace mope::net {
 namespace {
@@ -103,11 +106,12 @@ TEST(ProfileWireTest, DispatcherAttachesProfileWhenAsked) {
   auto profile = DecodeStatsReply(reply->profile);
   ASSERT_TRUE(profile.ok());
   std::map<std::string, uint64_t> entries(profile->begin(), profile->end());
-  // Every fixed counter is present (zeros included) so embedded and remote
-  // profiles carry the same field set...
-  for (const std::string& name :
-       engine::ServerProfileProbe::CounterNames()) {
-    EXPECT_TRUE(entries.count("srv." + name)) << name;
+  // Every server field of the record is present (zeros included) so
+  // embedded and remote records carry the same field set...
+  for (const obs::QueryCostField& field : obs::kQueryCostFields) {
+    if (field.half == obs::CostHalf::kServer) {
+      EXPECT_TRUE(entries.count(field.name)) << field.name;
+    }
   }
   // ...the deltas are this request's, not lifetime totals...
   EXPECT_EQ(entries["srv.engine.batches_received"], 1u);
@@ -142,6 +146,31 @@ TEST(ProfileWireTest, UnprofiledRequestGetsUnprofiledReply) {
   ASSERT_TRUE(reply.ok());
   // No speculative profiling: a peer that didn't ask pays zero bytes.
   EXPECT_FALSE(reply->has_profile);
+}
+
+TEST(ProfileWireTest, SampledRequestLogsItsCostWithoutChangingTheReply) {
+  engine::DbServer server = MakeServer();
+  DispatcherOptions options;
+  options.query_log_sample = 1;  // every data-bearing request
+  WireDispatcher dispatcher(&server, options);
+  std::vector<std::string> lines;
+  obs::Logger::Default()->SetSink(
+      [](void* user_data, const std::string& line) {
+        static_cast<std::vector<std::string>*>(user_data)->push_back(line);
+      },
+      &lines);
+  RangeBatchRequest request{"data", "key", {ModularInterval(10, 5, 100)}};
+  auto reply = Dispatch(&dispatcher, MessageType::kRangeBatchRequest,
+                        EncodeRangeBatchRequest(request), /*trace_id=*/0);
+  obs::Logger::Default()->SetSink(nullptr, nullptr);
+  ASSERT_TRUE(reply.ok());
+  // The client did not ask: its reply stays a version-1 frame, however the
+  // server chose to account for the request.
+  EXPECT_FALSE(reply->has_profile);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("event=query"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("srv.engine.rows_returned=5"), std::string::npos)
+      << lines[0];
 }
 
 TEST(ProfileWireTest, NonDataRequestsIgnoreTheProfileFlag) {

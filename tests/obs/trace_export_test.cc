@@ -32,8 +32,8 @@ TEST(TraceExportTest, ChromeTraceMatchesGoldenFile) {
   Trace trace("q:0 sales.day [3,17]", &clock, /*forced_id=*/9000);
   const uint32_t outer = trace.StartSpan("proxy.query");
   const uint32_t inner = trace.StartSpan("net.roundtrip");
-  trace.IncrementCounter("server.rows_scanned", 42);
-  trace.IncrementCounter("proxy.fake_queries", 7);
+  trace.cost().srv_rows_returned = 42;
+  trace.cost().proxy_retries = 7;
   trace.EndSpan(inner);
   trace.EndSpan(outer);
   trace.StartSpan("abandoned");  // left open: must export with dur 0

@@ -65,12 +65,12 @@ TEST(TraceTest, CountSpansMatchesExactNames) {
 TEST(TraceTest, CountersAccumulate) {
   ManualClock clock(0, 1);
   Trace trace("q", &clock);
-  trace.IncrementCounter("ope.hgd_draws", 5);
-  trace.IncrementCounter("ope.hgd_draws");
-  trace.IncrementCounter("net.retries", 2);
-  const auto counters = trace.counters();
-  EXPECT_EQ(counters.at("ope.hgd_draws"), 6u);
-  EXPECT_EQ(counters.at("net.retries"), 2u);
+  const ScopedTraceActivation activate(&trace);
+  ChargeCost(&QueryCost::ope_hgd_draws, 5);
+  ChargeCost(&QueryCost::ope_hgd_draws);
+  ChargeCost(&QueryCost::net_retries, 2);
+  EXPECT_EQ(trace.cost().ope_hgd_draws, 6u);
+  EXPECT_EQ(trace.cost().net_retries, 2u);
 }
 
 TEST(TraceTest, TraceIdsAreUniqueAndIncreasing) {
@@ -88,13 +88,13 @@ TEST(TraceTest, RenderTreeShowsNestingAndCounters) {
   const uint32_t inner = trace.StartSpan("lex");
   trace.EndSpan(inner);
   trace.EndSpan(outer);
-  trace.IncrementCounter("tokens", 7);
+  trace.cost().ope_encrypt_calls = 7;
 
   const std::string tree = trace.RenderTree();
   EXPECT_NE(tree.find("\"sql.execute\"\n"), std::string::npos);
   EXPECT_NE(tree.find("  parse  3.000us\n"), std::string::npos);
   EXPECT_NE(tree.find("    lex  1.000us\n"), std::string::npos);  // indented
-  EXPECT_NE(tree.find("  #tokens = 7\n"), std::string::npos);
+  EXPECT_NE(tree.find("  #ope.encrypt_calls = 7\n"), std::string::npos);
 }
 
 TEST(TraceActivationTest, CurrentTraceFollowsScopes) {
@@ -123,7 +123,7 @@ TEST(TraceActivationTest, ScopedSpanAndBumpAreNoOpsWhenOff) {
   ASSERT_EQ(CurrentTrace(), nullptr);
   {
     ScopedSpan span("orphan");  // must not crash or record anywhere
-    BumpTraceCounter("orphan.counter", 3);
+    ChargeCost(&QueryCost::net_frames, 3);
   }
   // And with a trace active, the same code records against it.
   ManualClock clock(0, 1);
@@ -131,10 +131,10 @@ TEST(TraceActivationTest, ScopedSpanAndBumpAreNoOpsWhenOff) {
   {
     ScopedTraceActivation activate(&trace);
     ScopedSpan span("work");
-    BumpTraceCounter("work.items", 2);
+    ChargeCost(&QueryCost::net_frames, 2);
   }
   EXPECT_EQ(trace.CountSpans("work"), 1u);
-  EXPECT_EQ(trace.counters().at("work.items"), 2u);
+  EXPECT_EQ(trace.cost().net_frames, 2u);
 }
 
 TEST(TraceTest, OutOfOrderEndDoesNotWedgeTheStack) {

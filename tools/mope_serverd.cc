@@ -36,9 +36,9 @@
 ///   - --checkpoint-every N checkpoints the storage engine every N
 ///     data-bearing requests, putting storage.wal.* / storage.pool.* work
 ///     (and spans) on the serving path.
-///   - --query-log-sample N profiles every Nth data-bearing request exactly
-///     as a client's EXPLAIN ANALYZE would and logs it as a structured
-///     `event=query` line with the full attributed resource profile.
+///   - --query-log-sample N records the cost of every Nth data-bearing
+///     request exactly as a client's EXPLAIN ANALYZE would and logs it as a
+///     structured `event=query` line with the server half of that cost.
 ///   - --sample-every-ms N keeps in-process metric history (ring buffers,
 ///     fixed memory budget) served as JSON on GET /vars; --alert-rule /
 ///     --default-alerts evaluate declarative rules over those samples and
@@ -149,7 +149,7 @@ void PrintUsage(const char* argv0) {
       "log\n"
       "                      it as a structured event=query line carrying "
       "the\n"
-      "                      full attributed resource profile (0 = off)\n"
+      "                      request's server-side cost (0 = off)\n"
       "  --metrics           dump the metrics registry at shutdown\n"
       "  --metrics-out FILE  atomically write the Prometheus text dump to "
       "FILE\n"

@@ -14,10 +14,10 @@
 #     structured slow_query log line whose trace id matches the exported
 #     Chrome trace, and that trace contains WAL + buffer-pool spans,
 #   - a live EXPLAIN ANALYZE over TCP prints the per-operator plan with
-#     actuals plus the server-attributed resource vector, and the profile's
-#     srv.engine.batches_received reconciles *exactly* with the
-#     engine_batches_received delta between two /metrics scrapes bracketing
-#     the statement,
+#     actuals plus the query's cost record, and its srv.engine.{batches_
+#     received,segments_scanned,entries_visited,rows_returned} each
+#     reconcile *exactly* with the matching engine_* delta between two
+#     /metrics scrapes bracketing the statement,
 #   - the daemon's sampled query log (--query-log-sample) carries the same
 #     profile, joinable by the EXPLAIN ANALYZE trace id,
 #   - the in-process time-series sampler (--sample-every-ms) accumulates
@@ -240,14 +240,16 @@ grep -q 'event=alert rule=frames_served_nonzero state=firing' "$server_log" || {
 echo "smoke_remote: alert frames_served_nonzero firing (/alertz <-> log)"
 
 # --- Live EXPLAIN ANALYZE <-> /metrics reconciliation. ---------------------
-# Bracket one EXPLAIN ANALYZE with two /metrics scrapes: the profile's
-# server-attributed batch count must equal the registry counter's delta —
-# same numbers, two independent exposition paths. Nothing else talks to the
-# daemon in between, so the comparison is exact.
-batches_before="$($CURL "http://127.0.0.1:$http_port/metrics" |
-                  awk '$1 == "engine_batches_received" {print $2}')"
+# Bracket one EXPLAIN ANALYZE with two /metrics scrapes: each server field of
+# the query's cost record must equal the registry counter's delta. The record
+# comes from the sweeps' own counts and the counters from the registry, two
+# independent paths. Nothing else talks to the daemon in between, so the
+# comparison is exact.
+reconciled_fields="batches_received segments_scanned entries_visited rows_returned"
+metrics_before="$($CURL "http://127.0.0.1:$http_port/metrics")"
 explain_out="$("$MOPE_SHELL" --connect "127.0.0.1:$port" \
     -c 'EXPLAIN ANALYZE SELECT COUNT(*) FROM lineitem WHERE l_shipdate BETWEEN 100 AND 400')"
+metrics_after="$($CURL "http://127.0.0.1:$http_port/metrics")"
 echo "$explain_out" | grep -q 'actual rows=' || {
   echo "smoke_remote: EXPLAIN ANALYZE printed no per-operator actuals" >&2
   echo "$explain_out" >&2
@@ -258,23 +260,25 @@ echo "$explain_out" | grep -q '^  net\.frames=' || {
   echo "$explain_out" >&2
   exit 1
 }
-profile_batches="$(echo "$explain_out" |
-    sed -n 's/^ *srv\.engine\.batches_received=\([0-9][0-9]*\)$/\1/p')"
-if [ -z "$profile_batches" ] || [ "$profile_batches" -eq 0 ]; then
-  echo "smoke_remote: profile carries no srv.engine.batches_received" >&2
-  echo "$explain_out" >&2
-  exit 1
-fi
-batches_after="$($CURL "http://127.0.0.1:$http_port/metrics" |
-                 awk '$1 == "engine_batches_received" {print $2}')"
-delta="$((batches_after - batches_before))"
-if [ "$delta" -ne "$profile_batches" ]; then
-  echo "smoke_remote: profile batches ($profile_batches) != /metrics delta" \
-       "($batches_after - $batches_before = $delta)" >&2
-  exit 1
-fi
-echo "smoke_remote: EXPLAIN ANALYZE profile reconciles with /metrics" \
-     "($profile_batches batches)"
+for field in $reconciled_fields; do
+  profile_value="$(echo "$explain_out" |
+      sed -n "s/^ *srv\.engine\.$field=\([0-9][0-9]*\)\$/\1/p")"
+  if [ -z "$profile_value" ] || [ "$profile_value" -eq 0 ]; then
+    echo "smoke_remote: cost record carries no srv.engine.$field" >&2
+    echo "$explain_out" >&2
+    exit 1
+  fi
+  before="$(echo "$metrics_before" | awk -v m="engine_$field" '$1 == m {print $2}')"
+  after="$(echo "$metrics_after" | awk -v m="engine_$field" '$1 == m {print $2}')"
+  delta="$((after - before))"
+  if [ "$delta" -ne "$profile_value" ]; then
+    echo "smoke_remote: srv.engine.$field ($profile_value) != /metrics delta" \
+         "($after - $before = $delta)" >&2
+    exit 1
+  fi
+  echo "smoke_remote: srv.engine.$field reconciles with /metrics" \
+       "($profile_value)"
+done
 
 # The sampled query log carries the same profile, joinable by trace id.
 explain_trace="$(echo "$explain_out" |
