@@ -21,7 +21,7 @@
 ///   mope_shell --connect 127.0.0.1:5811
 ///
 /// Meta-commands: \help  \stats  \serverstats  \history  \explain SQL
-/// \leakage  \trace [--chrome FILE]  \rotate  \tables  \snapshot PATH  \quit
+/// \leakage  \trace [--chrome FILE]  \rotate  \tables  \snapshot DIR  \quit
 /// (\rotate and \snapshot need the embedded server; unavailable remotely.
 /// \serverstats works for both: embedded reads the registry directly,
 /// --connect fetches it from the daemon over the wire. `-c` accepts
@@ -36,13 +36,13 @@
 #include <string>
 #include <utility>
 
-#include "engine/snapshot.h"
+#include "engine/durability.h"
 #include "net/remote_connection.h"
+#include "net/socket.h"
 #include "obs/clock.h"
 #include "obs/leakage.h"
 #include "obs/timeseries.h"
 #include "obs/trace_export.h"
-#include "proxy/connection_registry.h"
 #include "proxy/sql_session.h"
 #include "workload/tpch.h"
 
@@ -109,7 +109,8 @@ void PrintHelp() {
       "                  tracing on, and each statement's span tree is also\n"
       "                  written to FILE as Chrome trace-event JSON\n"
       "                  (load in chrome://tracing or ui.perfetto.dev)\n"
-      "  \\snapshot PATH  persist the encrypted server catalog\n"
+      "  \\snapshot DIR   write the encrypted catalog into a fresh data dir\n"
+      "                  (serve it keyless: mope_serverd --data-dir DIR)\n"
       "  \\quit           exit\n");
 }
 
@@ -169,15 +170,17 @@ int main(int argc, char** argv) {
     status = system.LoadTable("lineitem", data.lineitem_schema, data.lineitem,
                               spec);
   } else {
-    net::RegisterTcpScheme();
-    auto conn = proxy::MakeConnection("tcp://" + connect);
-    if (!conn.ok()) {
+    auto address = net::ParseHostPort(connect);
+    if (!address.ok()) {
       std::fprintf(stderr, "cannot connect: %s\n",
-                   conn.status().ToString().c_str());
+                   address.status().ToString().c_str());
       return 1;
     }
-    status = system.AttachRemoteTable("lineitem", spec,
-                                      std::move(conn).value());
+    net::RemoteOptions options;
+    options.host = address->host;
+    options.port = address->port;
+    status = system.AttachRemoteTable(
+        "lineitem", spec, std::make_unique<net::RemoteConnection>(options));
   }
   if (!status.ok()) {
     std::fprintf(stderr, "boot failed: %s\n", status.ToString().c_str());
@@ -422,12 +425,13 @@ int main(int argc, char** argv) {
                     "(the data lives in mope_serverd)\n");
         return;
       }
-      // The snapshot is pure ciphertext — safe to persist server-side.
-      const std::string path = line.substr(10);
-      auto saved = engine::SaveCatalog(*system.server()->catalog(), path);
+      // The catalog is pure ciphertext — safe to hand to the server.
+      const std::string dir = line.substr(10);
+      const Status saved =
+          engine::ExportToDataDir(*system.server()->catalog(), dir);
       std::printf("%s\n", saved.ok()
-                              ? ("saved encrypted catalog to " + path).c_str()
-                              : saved.ToString().c_str());
+                              ? ("wrote encrypted catalog to " + dir).c_str()
+                              : ("error: " + saved.ToString()).c_str());
     } else if (line == "\\tables") {
       std::printf("lineitem(l_orderkey, l_partkey, l_quantity, "
                   "l_extendedprice, l_discount, l_shipdate*, l_commitdate, "

@@ -135,7 +135,6 @@ inline constexpr int kStoragePool = 52;       ///< storage::BufferPool::mutex_
 inline constexpr int kStorageEpoch = 53;      ///< storage::StorageEngine::epoch_mutex_
 inline constexpr int kStorageWal = 54;        ///< storage::Wal::mutex_
 inline constexpr int kStorageDisk = 56;       ///< storage::DiskManager::mutex_
-inline constexpr int kConnectionRegistry = 60;///< proxy scheme registry
 inline constexpr int kTrace = 70;             ///< obs::Trace::mutex_
 inline constexpr int kFlightRecorder = 71;    ///< obs::FlightRecorder::mutex_
 inline constexpr int kTimeSeriesSampler = 72; ///< obs::TimeSeriesSampler::mutex_

@@ -4,10 +4,11 @@
 /// \file codec.h
 /// Little-endian binary encoding of the engine's value types.
 ///
-/// One codec, two consumers: the catalog snapshot format (engine/snapshot.h)
-/// and the client/server wire protocol (net/wire.h) serialize `Value`s,
-/// `Row`s and `Schema`s through these helpers, so a row laid down in a
-/// snapshot and a row shipped over the wire are byte-identical. Writers are
+/// One codec, two consumers: the durable state (engine/durability.h: heap
+/// rows, WAL catalog records, the checkpointed catalog blob) and the
+/// client/server wire protocol (net/wire.h) serialize `Value`s, `Row`s and
+/// `Schema`s through these helpers, so a row laid down on a heap page and a
+/// row shipped over the wire are byte-identical. Writers are
 /// infallible appends; the reader returns Corruption for every malformed
 /// input (truncation, bad tags, out-of-bounds lengths) — it never aborts,
 /// because both consumers decode bytes from untrusted media.

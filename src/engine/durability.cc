@@ -336,4 +336,29 @@ Status DurableCatalog::Checkpoint() {
 
 Status DurableCatalog::Sync() { return engine_->Sync(); }
 
+Status ExportToDataDir(const Catalog& catalog, const std::string& dir,
+                       const DurableCatalog::Options& options) {
+  // Declared first so it outlives `durable`, whose destructor unhooks it.
+  Catalog target;
+  MOPE_ASSIGN_OR_RETURN(std::unique_ptr<DurableCatalog> durable,
+                        DurableCatalog::Open(dir, &target, options));
+  if (!target.TableNames().empty()) {
+    return Status::AlreadyExists("data dir " + dir + " already holds tables");
+  }
+  for (const std::string& name : catalog.TableNames()) {
+    MOPE_ASSIGN_OR_RETURN(const Table* table, catalog.GetTable(name));
+    MOPE_ASSIGN_OR_RETURN(Table * copy,
+                          target.CreateTable(name, table->schema()));
+    for (RowId r = 0; r < table->row_count(); ++r) {
+      MOPE_RETURN_NOT_OK(copy->Insert(table->row(r)).status());
+    }
+    for (const Column& col : table->schema().columns()) {
+      if (table->HasIndex(col.name)) {
+        MOPE_RETURN_NOT_OK(copy->CreateIndex(col.name));
+      }
+    }
+  }
+  return durable->Checkpoint();
+}
+
 }  // namespace mope::engine

@@ -98,6 +98,15 @@ class DurableCatalog : public CatalogDurabilityHooks {
   bool recovered_from_crash_ = false;
 };
 
+/// The keyless handoff: writes every table, row and index of `catalog` into
+/// a fresh data dir at `dir` through a hooked DurableCatalog (so each row is
+/// WAL-logged like any other mutation), then checkpoints. A server that
+/// later calls DbServer::OpenStorage(dir) serves the same ciphertext without
+/// any key. AlreadyExists, and nothing is copied, when `dir` already holds
+/// tables.
+Status ExportToDataDir(const Catalog& catalog, const std::string& dir,
+                       const DurableCatalog::Options& options = {});
+
 }  // namespace mope::engine
 
 #endif  // MOPE_ENGINE_DURABILITY_H_

@@ -112,18 +112,6 @@ Result<uint64_t> DbServer::SweepRangeBatch(
   return count;
 }
 
-Result<std::vector<Row>> DbServer::ExecuteRangeBatch(
-    const std::string& table, const std::string& column,
-    const std::vector<ModularInterval>& ranges) {
-  std::vector<Row> rows;
-  MOPE_RETURN_NOT_OK(SweepRangeBatch(table, column, ranges,
-                                     [&rows](RowId, const Row& row) {
-                                       rows.push_back(row);
-                                     })
-                         .status());
-  return rows;
-}
-
 Result<std::vector<std::pair<RowId, Row>>> DbServer::ExecuteRangeBatchWithIds(
     const std::string& table, const std::string& column,
     const std::vector<ModularInterval>& ranges, obs::QueryCost* cost) {

@@ -104,15 +104,10 @@ class DbServer {
                                    const RowVisitor& visit,
                                    obs::QueryCost* cost = nullptr);
 
-  /// SweepRangeBatch, returning copies of the qualifying rows.
-  Result<std::vector<Row>> ExecuteRangeBatch(
-      const std::string& table, const std::string& column,
-      const std::vector<ModularInterval>& ranges);
-
-  /// Like ExecuteRangeBatch, but each row is returned together with its
-  /// stable row id (DBMSes expose this as ctid/rowid); the proxy uses the
-  /// ids to deduplicate rows that multiple overlapping requests returned.
-  /// `cost` as in SweepRangeBatch.
+  /// SweepRangeBatch, returning copies of the qualifying rows, each together
+  /// with its stable row id (DBMSes expose this as ctid/rowid); the proxy
+  /// uses the ids to deduplicate rows that multiple overlapping requests
+  /// returned. `cost` as in SweepRangeBatch.
   Result<std::vector<std::pair<RowId, Row>>> ExecuteRangeBatchWithIds(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges,

@@ -7,7 +7,6 @@
 
 #include "net/inmem.h"
 #include "obs/trace.h"
-#include "proxy/connection_registry.h"
 
 namespace mope::net {
 
@@ -198,40 +197,6 @@ RemoteConnection::FetchServerStats() {
 uint64_t RemoteConnection::retries() const { return retries_->Value(); }
 
 uint64_t RemoteConnection::connects() const { return connects_->Value(); }
-
-void RegisterTcpScheme(const RemoteOptions& defaults) {
-  proxy::RegisterConnectionScheme(
-      "tcp",
-      [defaults](const std::string& address)
-          -> Result<std::unique_ptr<proxy::ServerConnection>> {
-        const size_t colon = address.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 == address.size()) {
-          return Status::InvalidArgument(
-              "tcp:// address must look like host:port, got '" + address +
-              "'");
-        }
-        uint64_t port = 0;
-        for (size_t i = colon + 1; i < address.size(); ++i) {
-          const char c = address[i];
-          if (c < '0' || c > '9') {
-            return Status::InvalidArgument("bad port in tcp:// address '" +
-                                           address + "'");
-          }
-          port = port * 10 + static_cast<uint64_t>(c - '0');
-          if (port > 65535) {
-            return Status::InvalidArgument("port out of range in '" +
-                                           address + "'");
-          }
-        }
-        RemoteOptions options = defaults;
-        options.host = address.substr(0, colon);
-        options.port = static_cast<uint16_t>(port);
-        options.transport_factory = nullptr;  // rebuilt from host/port
-        return std::unique_ptr<proxy::ServerConnection>(
-            std::make_unique<RemoteConnection>(std::move(options)));
-      });
-}
 
 std::unique_ptr<proxy::ServerConnection> MakeLoopbackWireConnection(
     engine::DbServer* server) {

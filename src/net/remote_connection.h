@@ -110,13 +110,6 @@ class RemoteConnection final : public proxy::ServerConnection {
   obs::ExpHistogram* roundtrip_ns_;
 };
 
-/// Installs the "tcp" scheme into the proxy's connection registry, so
-/// proxy::MakeConnection("tcp://host:port") yields a RemoteConnection with
-/// the given defaults for everything but host and port. Idempotent;
-/// thread-safe. Call once at startup from anything that accepts connection
-/// strings (the shell's --connect flag, tools).
-void RegisterTcpScheme(const RemoteOptions& defaults = RemoteOptions());
-
 /// A ServerConnection that routes every request through the complete wire
 /// path — encode, frame, CRC, dispatch, decode — against an in-process
 /// DbServer, deterministically and without sockets. Used by benches to

@@ -105,6 +105,32 @@ Result<bool> SocketTransport::Poll(int timeout_ms) {
   return PollFd(fd_, POLLIN, timeout_ms);
 }
 
+Result<uint16_t> ParsePort(const std::string& text) {
+  uint32_t port = 0;
+  const bool digits = !text.empty() && text.size() <= 5 &&
+                      text.find_first_not_of("0123456789") == std::string::npos;
+  if (digits) {
+    for (const char c : text) port = port * 10 + static_cast<uint32_t>(c - '0');
+  }
+  if (!digits || port > 65535) {
+    return Status::InvalidArgument(
+        "port must be an integer in [0, 65535], got '" + text + "'");
+  }
+  return static_cast<uint16_t>(port);
+}
+
+Result<HostPort> ParseHostPort(const std::string& address) {
+  const size_t colon = address.rfind(':');
+  if (colon == std::string::npos || colon == 0) {
+    return Status::InvalidArgument("address must look like host:port, got '" +
+                                   address + "'");
+  }
+  HostPort out;
+  out.host = address.substr(0, colon);
+  MOPE_ASSIGN_OR_RETURN(out.port, ParsePort(address.substr(colon + 1)));
+  return out;
+}
+
 Result<std::unique_ptr<SocketTransport>> ConnectTcp(
     const std::string& host, uint16_t port, const SocketOptions& options) {
   MOPE_ASSIGN_OR_RETURN(sockaddr_in addr, ResolveIpv4(host, port));

@@ -56,6 +56,21 @@ class SocketTransport final : public Transport {
   SocketOptions options_;
 };
 
+/// Parses a TCP port: one to five ASCII digits, value in [0, 65535]. No
+/// sign, no whitespace, no base prefix; InvalidArgument otherwise. The
+/// daemon's --port/--http-port and ParseHostPort share it, so every port a
+/// user types is read the same way.
+Result<uint16_t> ParsePort(const std::string& text);
+
+struct HostPort {
+  std::string host;
+  uint16_t port = 0;
+};
+
+/// Splits "host:port" at the last ':' (non-empty host, ParsePort port).
+/// The host is checked when it is connected to, not here.
+Result<HostPort> ParseHostPort(const std::string& address);
+
 /// Connects to host:port within the connect deadline.
 Result<std::unique_ptr<SocketTransport>> ConnectTcp(const std::string& host,
                                                     uint16_t port,

@@ -78,8 +78,8 @@ class Env {
   /// Durable whole-file replace: writes `contents` to a temp file in the
   /// same directory, fsyncs it, renames it over `path`, and fsyncs the
   /// directory. A crash at any point leaves either the old file or the new
-  /// one, never a prefix of the new one. This is what SaveCatalog and the
-  /// storage meta file use.
+  /// one, never a prefix of the new one. The storage meta file, trace and
+  /// metrics exports and the flight recorder use it.
   virtual Status WriteFileAtomic(const std::string& path,
                                  std::string_view contents) = 0;
 

@@ -11,7 +11,6 @@
 #include "common/crc32.h"
 #include "engine/btree.h"
 #include "engine/server.h"
-#include "engine/snapshot.h"
 #include "engine/table.h"
 #include "obs/registry.h"
 #include "storage/env.h"
@@ -312,7 +311,7 @@ TEST(DbServerStorageTest, OpenStorageRecoversServedData) {
   EXPECT_TRUE(server.durable_catalog()->recovered_from_crash());
   ExpectItemsEqual(*server.catalog(), 40);
   // The recovered server answers range queries over the rebuilt index.
-  auto rows = server.ExecuteRangeBatch(
+  auto rows = server.ExecuteRangeBatchWithIds(
       "items", "c", {ModularInterval(0, 257, 1024)});
   ASSERT_TRUE(rows.ok()) << rows.status();
   EXPECT_EQ(rows->size(), 40u);
@@ -326,9 +325,10 @@ TEST(DbServerStorageTest, StorageCallsWithoutAttachFail) {
   EXPECT_EQ(server.durable_catalog(), nullptr);
 }
 
-TEST(DurableCatalogTest, ImportCatalogFlowsThroughHooks) {
-  // The --data-dir bootstrap path: a snapshot-loaded catalog replayed into
-  // a storage-backed one must be durable.
+TEST(DurableCatalogTest, ExportToDataDirSurvivesCrash) {
+  // The keyless handoff: an in-memory catalog exported into a data dir must
+  // be durable the moment ExportToDataDir returns, even with a WAL that
+  // would not have synced a single row on its own.
   Catalog source;
   auto src_table = source.CreateTable("items", ItemsSchema());
   ASSERT_TRUE(src_table.ok());
@@ -337,21 +337,49 @@ TEST(DurableCatalogTest, ImportCatalogFlowsThroughHooks) {
 
   storage::InMemEnv env;
   obs::MetricsRegistry metrics;
+  DurableCatalog::Options options = TestOptions(&env, &metrics);
+  options.wal_sync_every = 1u << 20;
+  ASSERT_TRUE(ExportToDataDir(source, "/db", options).ok());
+  env.SimulateCrash();
+
+  Catalog recovered;
+  auto durable = DurableCatalog::Open("/db", &recovered, options);
+  ASSERT_TRUE(durable.ok()) << durable.status();
+  // The export ended with a checkpoint: nothing left to replay.
+  EXPECT_FALSE((*durable)->recovered_from_crash());
+  ExpectItemsEqual(recovered, 60);
+  EXPECT_TRUE((*recovered.GetTable("items"))->HasIndex("c"));
+}
+
+TEST(DurableCatalogTest, ExportToDataDirRefusesDirWithTables) {
+  storage::InMemEnv env;
+  obs::MetricsRegistry metrics;
   {
     Catalog catalog;
     auto durable = DurableCatalog::Open("/db", &catalog,
                                         TestOptions(&env, &metrics));
     ASSERT_TRUE(durable.ok());
-    ASSERT_TRUE(ImportCatalog(source, &catalog).ok());
+    auto table = catalog.CreateTable("items", ItemsSchema());
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE(FillItems(*table, 5).ok());
+    ASSERT_TRUE((*durable)->Checkpoint().ok());
   }
-  env.SimulateCrash();
 
-  Catalog recovered;
-  auto durable = DurableCatalog::Open("/db", &recovered,
-                                      TestOptions(&env, &metrics));
+  Catalog source;
+  auto items = source.CreateTable("items", ItemsSchema());
+  ASSERT_TRUE(items.ok());
+  ASSERT_TRUE(FillItems(*items, 60).ok());
+  ASSERT_TRUE(source.CreateTable("other", ItemsSchema()).ok());
+  const Status exported =
+      ExportToDataDir(source, "/db", TestOptions(&env, &metrics));
+  EXPECT_TRUE(exported.IsAlreadyExists()) << exported;
+
+  Catalog reopened;
+  auto durable =
+      DurableCatalog::Open("/db", &reopened, TestOptions(&env, &metrics));
   ASSERT_TRUE(durable.ok()) << durable.status();
-  ExpectItemsEqual(recovered, 60);
-  EXPECT_TRUE((*recovered.GetTable("items"))->HasIndex("c"));
+  EXPECT_EQ(reopened.TableNames(), std::vector<std::string>{"items"});
+  ExpectItemsEqual(reopened, 5);
 }
 
 TEST(DurableCatalogTest, DuplicateColumnInCatalogBlobIsCorruption) {

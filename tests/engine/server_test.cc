@@ -21,8 +21,8 @@ DbServer MakeServer() {
 
 TEST(DbServerTest, SimpleRangeBatch) {
   DbServer server = MakeServer();
-  auto rows = server.ExecuteRangeBatch("data", "key",
-                                       {ModularInterval(10, 5, 100)});
+  auto rows = server.ExecuteRangeBatchWithIds("data", "key",
+                                              {ModularInterval(10, 5, 100)});
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 5u);
   EXPECT_EQ(server.stats().batches_received, 1u);
@@ -33,8 +33,8 @@ TEST(DbServerTest, SimpleRangeBatch) {
 TEST(DbServerTest, WrapAroundRange) {
   DbServer server = MakeServer();
   // {95..99, 0..4}: the MOPE wrap-around dummy-query shape.
-  auto rows = server.ExecuteRangeBatch("data", "key",
-                                       {ModularInterval(95, 10, 100)});
+  auto rows = server.ExecuteRangeBatchWithIds("data", "key",
+                                              {ModularInterval(95, 10, 100)});
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 10u);
 }
@@ -42,7 +42,7 @@ TEST(DbServerTest, WrapAroundRange) {
 TEST(DbServerTest, MultiRangeSharedSweepDeduplicates) {
   DbServer server = MakeServer();
   // Two overlapping ranges answered in one coalesced sweep.
-  auto rows = server.ExecuteRangeBatch(
+  auto rows = server.ExecuteRangeBatchWithIds(
       "data", "key",
       {ModularInterval(10, 20, 100), ModularInterval(20, 20, 100)});
   ASSERT_TRUE(rows.ok());
@@ -57,7 +57,7 @@ TEST(DbServerTest, BatchOfDisjointRanges) {
   for (uint64_t s = 0; s < 100; s += 20) {
     ranges.push_back(ModularInterval(s, 5, 100));
   }
-  auto rows = server.ExecuteRangeBatch("data", "key", ranges);
+  auto rows = server.ExecuteRangeBatchWithIds("data", "key", ranges);
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows->size(), 25u);
   EXPECT_EQ(server.stats().segments_scanned, 5u);
@@ -76,9 +76,10 @@ TEST(DbServerTest, WithIdsReturnsStableRowIds) {
 
 TEST(DbServerTest, UnknownTableOrColumn) {
   DbServer server = MakeServer();
-  EXPECT_TRUE(server.ExecuteRangeBatch("nope", "key", {}).status().IsNotFound());
   EXPECT_TRUE(
-      server.ExecuteRangeBatch("data", "tag", {}).status().IsNotFound());
+      server.ExecuteRangeBatchWithIds("nope", "key", {}).status().IsNotFound());
+  EXPECT_TRUE(
+      server.ExecuteRangeBatchWithIds("data", "tag", {}).status().IsNotFound());
 }
 
 TEST(DbServerTest, CountRangeBatchMatchesExecute) {
@@ -91,12 +92,14 @@ TEST(DbServerTest, CountRangeBatchMatchesExecute) {
 
 TEST(DbServerTest, StatsAccumulateAndReset) {
   DbServer server = MakeServer();
-  ASSERT_TRUE(
-      server.ExecuteRangeBatch("data", "key", {ModularInterval(0, 10, 100)})
-          .ok());
-  ASSERT_TRUE(
-      server.ExecuteRangeBatch("data", "key", {ModularInterval(5, 10, 100)})
-          .ok());
+  ASSERT_TRUE(server
+                  .ExecuteRangeBatchWithIds("data", "key",
+                                            {ModularInterval(0, 10, 100)})
+                  .ok());
+  ASSERT_TRUE(server
+                  .ExecuteRangeBatchWithIds("data", "key",
+                                            {ModularInterval(5, 10, 100)})
+                  .ok());
   EXPECT_EQ(server.stats().batches_received, 2u);
   EXPECT_EQ(server.stats().rows_returned, 20u);
   server.ResetStats();
@@ -105,7 +108,7 @@ TEST(DbServerTest, StatsAccumulateAndReset) {
 
 TEST(DbServerTest, EmptyBatchIsValid) {
   DbServer server = MakeServer();
-  auto rows = server.ExecuteRangeBatch("data", "key", {});
+  auto rows = server.ExecuteRangeBatchWithIds("data", "key", {});
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
 }
@@ -122,9 +125,9 @@ TEST(DbServerTest, AuditSurvivesStartsBeyondAuditSpace) {
   ASSERT_TRUE(server.EnableLeakageAudit(config).ok());
 
   // Interval domain 1000 >> audit space 100, start 500 >= space.
-  auto rows = server.ExecuteRangeBatch("data", "key",
-                                       {ModularInterval(500, 5, 1000),
-                                        ModularInterval(10, 5, 100)});
+  auto rows = server.ExecuteRangeBatchWithIds("data", "key",
+                                              {ModularInterval(500, 5, 1000),
+                                               ModularInterval(10, 5, 100)});
   ASSERT_TRUE(rows.ok());
 
   uint64_t out_of_space = 0, observations = 0;

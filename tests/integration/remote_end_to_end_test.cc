@@ -13,11 +13,12 @@
 #include <utility>
 #include <vector>
 
-#include "engine/snapshot.h"
+#include "engine/durability.h"
 #include "net/remote_connection.h"
 #include "net/server.h"
-#include "proxy/connection_registry.h"
+#include "net/socket.h"
 #include "proxy/system.h"
+#include "storage/env.h"
 
 namespace mope {
 namespace {
@@ -126,24 +127,25 @@ TEST(RemoteEndToEndTest, RemoteProxyMatchesEmbeddedByteForByte) {
   (*daemon)->Stop();
 }
 
-TEST(RemoteEndToEndTest, SnapshotHandoffToKeylessDaemon) {
-  // The mope_serverd --snapshot flow: the data owner persists the encrypted
-  // catalog, a keyless daemon process restores and serves it, and a
-  // same-seed proxy queries it correctly.
-  std::string snapshot;
+TEST(RemoteEndToEndTest, DataDirHandoffToKeylessDaemon) {
+  // The mope_serverd --data-dir flow: the data owner exports the encrypted
+  // catalog into a data dir, a bare server (no MopeSystem, no seed) opens
+  // that dir and serves it, and a same-seed proxy queries it correctly.
+  storage::InMemEnv env;
+  engine::DurableCatalog::Options storage_options;
+  storage_options.env = &env;
   {
     proxy::MopeSystem owner(kSeed);
     ASSERT_TRUE(owner.LoadTable("sales", MakeSchema(), MakeRows(), MakeSpec())
                     .ok());
-    auto bytes = engine::SerializeCatalog(*owner.server()->catalog());
-    ASSERT_TRUE(bytes.ok());
-    snapshot = *std::move(bytes);
+    const Status exported = engine::ExportToDataDir(
+        *owner.server()->catalog(), "/data", storage_options);
+    ASSERT_TRUE(exported.ok()) << exported;
   }  // the owner — and the only copy of the key — is gone
 
   engine::DbServer keyless;
-  auto restored = engine::DeserializeCatalog(snapshot);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  *keyless.catalog() = std::move(restored).value();
+  const Status opened = keyless.OpenStorage("/data", storage_options);
+  ASSERT_TRUE(opened.ok()) << opened;
   auto daemon = net::TcpServer::Start(&keyless, net::TcpServerOptions{});
   ASSERT_TRUE(daemon.ok());
 
@@ -176,33 +178,23 @@ TEST(RemoteEndToEndTest, ConnectionStringPathWorks) {
   auto daemon = net::TcpServer::Start(owner.server(), net::TcpServerOptions{});
   ASSERT_TRUE(daemon.ok());
 
-  net::RegisterTcpScheme();
-  auto conn = proxy::MakeConnection("tcp://127.0.0.1:" +
+  auto address = net::ParseHostPort("127.0.0.1:" +
                                     std::to_string((*daemon)->port()));
-  ASSERT_TRUE(conn.ok()) << conn.status().ToString();
+  ASSERT_TRUE(address.ok()) << address.status().ToString();
+  net::RemoteOptions options;
+  options.host = address->host;
+  options.port = address->port;
 
   proxy::MopeSystem remote(kSeed);
   ASSERT_TRUE(remote
-                  .AttachRemoteTable("sales", MakeSpec(),
-                                     std::move(conn).value())
+                  .AttachRemoteTable(
+                      "sales", MakeSpec(),
+                      std::make_unique<net::RemoteConnection>(options))
                   .ok());
   auto response = remote.Query("sales", "day", {10, 16});
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->rows.size(), 7u);
   (*daemon)->Stop();
-}
-
-TEST(RemoteEndToEndTest, ConnectionStringErrors) {
-  EXPECT_TRUE(proxy::MakeConnection("garbage").status().IsInvalidArgument());
-  EXPECT_TRUE(
-      proxy::MakeConnection("nope://x:1").status().IsNotFound());
-  net::RegisterTcpScheme();
-  EXPECT_TRUE(proxy::MakeConnection("tcp://hostonly")
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(proxy::MakeConnection("tcp://h:99999")
-                  .status()
-                  .IsInvalidArgument());
 }
 
 TEST(RemoteEndToEndTest, MismatchedSeedDecryptsNothingUseful) {

@@ -43,6 +43,9 @@ struct FlakyNet {
 
   RemoteOptions Options(uint32_t max_retries) {
     RemoteOptions options;
+    // Per-scenario counters: conn.retries()/connects() must not see the
+    // connections of other tests that ran earlier in the same process.
+    options.registry = &registry;
     options.max_retries = max_retries;
     options.backoff_initial_ms = 0;  // keep tests instant
     options.transport_factory =
@@ -61,6 +64,7 @@ struct FlakyNet {
   WireDispatcher dispatcher;
   InProcessChannel channel;
   std::deque<FaultSpec> faults;
+  obs::MetricsRegistry registry;
 };
 
 const std::vector<ModularInterval> kRanges = {ModularInterval(10, 5, 100)};

@@ -193,6 +193,29 @@ TEST(TcpTest, DnsNamesOtherThanLocalhostAreRejected) {
   EXPECT_TRUE(conn.status().IsInvalidArgument());
 }
 
+TEST(TcpTest, HostPortParsingIsStrict) {
+  auto ok = ParseHostPort("h:65535");
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->host, "h");
+  EXPECT_EQ(ok->port, 65535);
+  auto loopback = ParseHostPort("127.0.0.1:0");
+  ASSERT_TRUE(loopback.ok()) << loopback.status();
+  EXPECT_EQ(loopback->host, "127.0.0.1");
+  EXPECT_EQ(loopback->port, 0);
+  for (const char* bad :
+       {"hostonly", "h:99999", "h:", ":80", "h:+80", "h: 80", "h:65536"}) {
+    EXPECT_TRUE(ParseHostPort(bad).status().IsInvalidArgument()) << bad;
+  }
+
+  auto port = ParsePort("5811");
+  ASSERT_TRUE(port.ok()) << port.status();
+  EXPECT_EQ(*port, 5811);
+  for (const char* bad : {"", " 80", "+80", "-1", "80 ", "0x50", "65536",
+                          "4294967376"}) {
+    EXPECT_TRUE(ParsePort(bad).status().IsInvalidArgument()) << bad;
+  }
+}
+
 TEST(TcpTest, ConcurrentClientsSeeConsistentData) {
   engine::DbServer db = MakeServer();
   TcpServerOptions options;

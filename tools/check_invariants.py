@@ -63,9 +63,9 @@ Machine-enforces the correctness conventions that code review used to carry:
                          banned in src/ outside src/storage/ — every file
                          touch goes through storage::Env (env.h) so fsync
                          discipline, atomic replace and fault injection live
-                         in one audited layer. Catalog snapshots, CSV
-                         import/export and the storage engine all ride the
-                         same seam; tests swap in InMemEnv/FaultyEnv.
+                         in one audited layer. CSV import/export, trace
+                         and metrics dumps and the storage engine all ride
+                         the same seam; tests swap in InMemEnv/FaultyEnv.
   R11 raw-output         printf/fprintf/puts/fputs and std::cout/cerr/clog
                          are banned in src/ and tools/ outside src/obs/log.*
                          (the logger's own stderr sink) — operational
@@ -104,8 +104,8 @@ Machine-enforces the correctness conventions that code review used to carry:
   R14 decoder-check      (file-level check) No MOPE_CHECK lexically inside
                          the body of a function named Decode* /
                          Deserialize* / Load* under src/. Those functions
-                         read bytes from the wire, a snapshot, the WAL, a
-                         page or the catalog blob: an untrusted byte must
+                         read bytes from the wire, the WAL, a page or the
+                         catalog blob: an untrusted byte must
                          become a Status (Corruption), never abort the
                          process. Invariants of values built in code stay
                          MOPE_CHECKs outside the decoder; a decoder that
@@ -138,8 +138,7 @@ ESCAPE_RE = re.compile(r"//\s*invariant-ok:\s*\S")
 # (#ifdef'd configs, generated amalgamations).
 NODISCARD_API = (
     "Encrypt|Decrypt|EncryptRange|DecryptFloorCeil|"
-    "CreateIndex|CreateTable|DropTable|SaveCatalog|LoadCatalog|"
-    "SerializeCatalog|DeserializeCatalog|HgdSample|RotateKey"
+    "CreateIndex|CreateTable|DropTable|ExportToDataDir|HgdSample|RotateKey"
 )
 
 

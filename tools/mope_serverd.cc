@@ -4,22 +4,23 @@
 /// paper's Figure 4 into two real processes: this daemon holds only
 /// ciphertext, the trusted proxy (e.g. `mope_shell --connect`) holds the
 /// keys and talks to it over TCP. The daemon never sees a key: it serves
-/// either a snapshot file (pure ciphertext, written by `\snapshot` in the
-/// shell) or a freshly generated TPC-H table encrypted in-process and then
-/// treated as opaque.
+/// either a data dir (pure ciphertext, written by `\snapshot DIR` in the
+/// shell or by an earlier run) or a freshly generated TPC-H table encrypted
+/// in-process and then treated as opaque.
 ///
 /// Usage:
-///   mope_serverd --snapshot PATH [--host H] [--port N] [--workers N]
+///   mope_serverd --data-dir DIR [--host H] [--port N] [--workers N]
 ///   mope_serverd --tpch [--scale F] [--seed N] [--host H] [--port N]
-///   mope_serverd (--snapshot PATH | --tpch) --data-dir DIR [...]
+///   mope_serverd --tpch --data-dir DIR [...]
 ///
 /// --data-dir attaches the disk-backed storage engine (src/storage/): every
-/// mutation is write-ahead logged and applied to heap/index pages under DIR.
-/// A DIR that already holds data is recovered on startup — crash recovery
-/// replays the WAL — and served as-is (the --snapshot/--tpch source is then
-/// only a bootstrap for an empty DIR). The pages hold the same MOPE
-/// ciphertexts the in-memory catalog does; kill -9 never costs more than a
-/// WAL replay plus an index rebuild, and never a re-encryption.
+/// mutation is write-ahead logged and applied to heap pages under DIR. A
+/// DIR that already holds data is recovered on startup — crash recovery
+/// replays the WAL — and served as-is (--tpch then only seeds an empty
+/// DIR). Without --tpch the daemon is keyless: DIR must already hold
+/// tables. The pages hold the same MOPE ciphertexts the in-memory catalog
+/// does; kill -9 never costs more than a WAL replay plus an index rebuild,
+/// and never a re-encryption.
 ///
 /// Observability:
 ///   - Every operational message is a structured log line (src/obs/log.h)
@@ -56,7 +57,6 @@
 /// SIGINT/SIGTERM shut down gracefully: in-flight requests complete,
 /// replies flush, then the daemon logs its traffic counters and exits.
 
-#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -69,9 +69,9 @@
 
 #include <vector>
 
-#include "engine/snapshot.h"
 #include "net/http_exposition.h"
 #include "net/server.h"
+#include "net/socket.h"
 #include "obs/alerts.h"
 #include "obs/flight_recorder.h"
 #include "obs/leakage.h"
@@ -101,28 +101,12 @@ void HandleFatalSignal(int signo) {
   std::raise(signo);
 }
 
-/// Strict port parse mirroring RegisterTcpScheme: digits only, in
-/// [0, 65535]. atoi would silently wrap 70000 to a different port and turn
-/// garbage into 0 (ephemeral).
-bool ParsePort(const char* raw, uint16_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (raw[0] == '\0' || *end != '\0' || raw[0] == '-' || errno != 0 ||
-      value > 65535) {
-    return false;
-  }
-  *out = static_cast<uint16_t>(value);
-  return true;
-}
-
 void PrintUsage(const char* argv0) {
   // Usage text goes to the raw stream, not the structured log: it is the
   // program's interactive answer to --help, not an operational event.
   std::fprintf(  // invariant-ok: R11 usage/help text
       stderr,
-      "usage: %s (--snapshot PATH | --tpch) [options]\n"
-      "  --snapshot PATH     serve an encrypted catalog snapshot\n"
+      "usage: %s (--tpch [--data-dir DIR] | --data-dir DIR) [options]\n"
       "  --tpch              generate + encrypt a TPC-H lineitem table\n"
       "  --scale F           TPC-H scale factor (default 0.002)\n"
       "  --seed N            key/proxy seed for --tpch (default 0x5811)\n"
@@ -134,7 +118,9 @@ void PrintUsage(const char* argv0) {
       "an\n"
       "                      existing DIR is recovered (WAL replay) and "
       "served,\n"
-      "                      a fresh one is seeded from --snapshot/--tpch\n"
+      "                      a fresh one is seeded from --tpch; alone, DIR "
+      "must\n"
+      "                      hold tables (mope_shell \\snapshot DIR)\n"
       "  --http-port N       HTTP exposition endpoint (GET /metrics "
       "Prometheus\n"
       "                      text, /healthz, /statusz); 0 = ephemeral\n"
@@ -164,7 +150,7 @@ void PrintUsage(const char* argv0) {
       "declared\n"
       "                      with (default: the TPC-H date domain); needed "
       "so\n"
-      "                      --snapshot mode knows the public parameter M\n"
+      "                      --data-dir mode knows the public parameter M\n"
       "  --sample-every-ms N time-series sampler: snapshot the registry "
       "every\n"
       "                      N ms into in-process ring buffers (GET /vars)\n"
@@ -198,7 +184,6 @@ void FlagError(const char* fmt, const char* detail) {
 int main(int argc, char** argv) {
   using namespace mope;  // NOLINT
 
-  std::string snapshot_path;
   std::string data_dir;
   std::string metrics_out;
   bool tpch = false;
@@ -232,9 +217,7 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (arg == "--snapshot") {
-      snapshot_path = next();
-    } else if (arg == "--data-dir") {
+    if (arg == "--data-dir") {
       data_dir = next();
     } else if (arg == "--tpch") {
       tpch = true;
@@ -245,20 +228,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       options.host = next();
     } else if (arg == "--port") {
-      const char* raw = next();
-      if (!ParsePort(raw, &options.port)) {
-        FlagError("--port must be an integer in [0, 65535], got '%s'\n", raw);
+      const Result<uint16_t> port = net::ParsePort(next());
+      if (!port.ok()) {
+        FlagError("--port: %s\n", port.status().message().c_str());
         return 2;
       }
+      options.port = *port;
     } else if (arg == "--workers") {
       options.num_workers = std::atoi(next());
     } else if (arg == "--http-port") {
-      const char* raw = next();
-      if (!ParsePort(raw, &http_port)) {
-        FlagError("--http-port must be an integer in [0, 65535], got '%s'\n",
-                  raw);
+      const Result<uint16_t> port = net::ParsePort(next());
+      if (!port.ok()) {
+        FlagError("--http-port: %s\n", port.status().message().c_str());
         return 2;
       }
+      http_port = *port;
       http_enabled = true;
     } else if (arg == "--slow-query-ms") {
       slow_query_ms = std::atof(next());
@@ -320,8 +304,8 @@ int main(int argc, char** argv) {
                  dump.value().c_str());
     return 0;
   }
-  if (snapshot_path.empty() == !tpch) {
-    FlagError("pick exactly one of --snapshot or --tpch\n", "");
+  if (!tpch && data_dir.empty()) {
+    FlagError("pick --tpch, --data-dir DIR, or both\n", "");
     PrintUsage(argv[0]);
     return 2;
   }
@@ -352,7 +336,7 @@ int main(int argc, char** argv) {
   logger->SetDropCounterRegistry(server->metrics());
 
   // Storage attaches before any data load: the catalog is still empty, so
-  // recovery can repopulate it, and a subsequent import flows through the
+  // recovery can repopulate it, and a --tpch load flows through the
   // durability hooks (WAL-first) instead of bypassing them.
   bool recovered_data = false;
   if (!data_dir.empty()) {
@@ -375,29 +359,12 @@ int main(int argc, char** argv) {
   }
 
   if (recovered_data) {
-    // The durable state wins; --snapshot/--tpch only seed an empty dir.
-  } else if (!snapshot_path.empty()) {
-    auto loaded = engine::LoadCatalog(snapshot_path);
-    if (!loaded.ok()) {
-      MOPE_LOG(kError, "main", "snapshot_load_failed")
-          .Arg("path", snapshot_path)
-          .Arg("status", loaded.status().ToString());
-      return 1;
-    }
-    if (server->has_storage()) {
-      // Replay through the hooked catalog so every row is WAL-logged.
-      const Status imported =
-          engine::ImportCatalog(*loaded, server->catalog());
-      if (!imported.ok()) {
-        MOPE_LOG(kError, "main", "snapshot_import_failed")
-            .Arg("path", snapshot_path)
-            .Arg("status", imported.ToString());
-        return 1;
-      }
-    } else {
-      *standalone.catalog() = std::move(loaded).value();
-    }
-    MOPE_LOG(kInfo, "main", "serving_snapshot").Arg("path", snapshot_path);
+    // The durable state wins; --tpch only seeds an empty dir.
+  } else if (!tpch) {
+    FlagError("--data-dir %s holds no tables: fill it with mope_shell's "
+              "\\snapshot DIR, or seed it with --tpch\n",
+              data_dir.c_str());
+    return 2;
   } else {
     workload::TpchConfig config;
     config.scale_factor = scale;
@@ -421,7 +388,7 @@ int main(int argc, char** argv) {
   }
 
   if (server->has_storage() && !recovered_data) {
-    // Make the freshly imported data cheap to reopen: flush pages, persist
+    // Make the freshly loaded data cheap to reopen: flush pages, persist
     // the catalog (schemas, heap heads, indexed columns), truncate the WAL.
     const Status cp = server->CheckpointStorage();
     if (!cp.ok()) {
