@@ -9,12 +9,14 @@
 #include <string>
 
 #include "common/crc32.h"
+#include "common/crc32_internal.h"
 #include "common/random.h"
 #include "crypto/aes.h"
 #include "crypto/hgd.h"
 #include "dist/completion.h"
 #include "engine/btree.h"
 #include "engine/executor.h"
+#include "net/transport.h"
 #include "net/wire.h"
 #include "ope/mope.h"
 #include "ope/ope.h"
@@ -257,16 +259,32 @@ BENCHMARK(BM_UniformPlanBuild)->Arg(1000)->Arg(10000);
 
 // --- Wire codec (DESIGN.md §5): the work every server round trip pays ----
 
-void BM_Crc32(benchmark::State& state) {
+std::string RandomBuffer(size_t n) {
   Rng rng(11);
-  std::string bytes(static_cast<size_t>(state.range(0)), '\0');
+  std::string bytes(n, '\0');
   for (char& c : bytes) c = static_cast<char>(rng.UniformUint64(256));
+  return bytes;
+}
+
+/// The dispatched CRC (PCLMULQDQ folding where the CPU has it).
+void BM_Crc32(benchmark::State& state) {
+  const std::string bytes = RandomBuffer(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(Crc32(bytes));
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(4096)->Arg(65536);
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(65536)->Arg(512 << 10);
+
+/// The slicing-by-8 reference kernel, for comparison with BM_Crc32.
+void BM_Crc32Portable(benchmark::State& state) {
+  const std::string bytes = RandomBuffer(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32_internal::ContinuePortable(0, bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32Portable)->Arg(4096)->Arg(65536)->Arg(512 << 10);
 
 /// The first `n` rows of generated TPC-H LINEITEM at SF 0.002 (the
 /// perfbench data set), with ids: a q14_uniform_tcp reply carries ~126.
@@ -307,6 +325,26 @@ void BM_DecodeRangeBatchReply(benchmark::State& state) {
                           static_cast<int64_t>(payload.size()));
 }
 BENCHMARK(BM_DecodeRangeBatchReply)->Arg(126);
+
+/// A client reading one range-batch reply frame (~12 KB of LINEITEM rows)
+/// off a transport: header, payload straight into the Frame, CRC in place.
+/// The figure includes StringTransport taking its own copy of the frame
+/// each iteration, standing in for the socket's kernel buffer.
+void BM_ReadFrame(benchmark::State& state) {
+  const std::string frame = net::EncodeFrame(
+      net::MessageType::kRangeBatchReply,
+      net::EncodeRangeBatchReply(
+          LineitemReply(static_cast<size_t>(state.range(0)))));
+  for (auto _ : state) {
+    net::StringTransport transport(frame);
+    auto read = net::ReadFrame(&transport);
+    benchmark::DoNotOptimize(read.ok());
+    benchmark::DoNotOptimize(read->payload.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(frame.size()));
+}
+BENCHMARK(BM_ReadFrame)->Arg(126);
 
 }  // namespace
 }  // namespace mope

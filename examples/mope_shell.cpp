@@ -204,11 +204,12 @@ int main(int argc, char** argv) {
 
   std::string chrome_path;  // non-empty: export each trace as Chrome JSON
   bool tracing = false;     // \trace toggle; gates the span-tree dump
+  // Runs one SQL statement; false when it failed.
   auto run = [&session, &chrome_path, &tracing](const std::string& sql) {
     auto result = session.Execute(sql);
     if (!result.ok()) {
       std::printf("error: %s\n", result.status().ToString().c_str());
-      return;
+      return false;
     }
     PrintResult(*result);
     const auto& stats = session.last_stats();
@@ -233,10 +234,12 @@ int main(int argc, char** argv) {
         }
       }
     }
+    return true;
   };
 
-  // Handles one input line — meta-command or SQL. Shared between the
-  // interactive loop and `-c`, so scripts can fetch \serverstats too.
+  // Handles one input line — meta-command or SQL; false when it failed.
+  // Shared between the interactive loop and `-c`, so scripts can fetch
+  // \serverstats too, and `-c` exits 1 on failure.
   auto handle_line = [&](const std::string& line) {
     if (line == "\\help") {
       PrintHelp();
@@ -255,12 +258,12 @@ int main(int argc, char** argv) {
       auto proxy = system.GetProxy("lineitem", "l_shipdate");
       if (!proxy.ok()) {
         std::printf("error: %s\n", proxy.status().ToString().c_str());
-        return;
+        return false;
       }
       auto stats = (*proxy)->FetchServerStats();
       if (!stats.ok()) {
         std::printf("error: %s\n", stats.status().ToString().c_str());
-        return;
+        return false;
       }
       // The "queries" section first: request totals by kind and dispatch
       // latency quantiles, pulled out of the flat snapshot (the daemon's
@@ -289,12 +292,12 @@ int main(int argc, char** argv) {
       auto proxy = system.GetProxy("lineitem", "l_shipdate");
       if (!proxy.ok()) {
         std::printf("error: %s\n", proxy.status().ToString().c_str());
-        return;
+        return false;
       }
       auto stats = (*proxy)->FetchServerStats();
       if (!stats.ok()) {
         std::printf("error: %s\n", stats.status().ToString().c_str());
-        return;
+        return false;
       }
       // One wire snapshot = one sample of every server metric; repeated
       // \history calls are what build the series.
@@ -314,7 +317,7 @@ int main(int argc, char** argv) {
               std::strtoul(rest.c_str() + space + 1, nullptr, 10);
           if (n == 0 || n > history.max_window()) {
             std::printf("window must be in [1, %zu]\n", history.max_window());
-            return;
+            return false;
           }
           window = n;
         }
@@ -323,12 +326,12 @@ int main(int argc, char** argv) {
         std::printf("snapshot ingested: %zu series, %llu snapshots held\n"
                     "usage: \\history PREFIX [N] prints matching series\n",
                     history.series_count(), history_snapshots);
-        return;
+        return true;
       }
       auto views = history.Query(prefix, window);
       if (!views.ok()) {
         std::printf("error: %s\n", views.status().ToString().c_str());
-        return;
+        return false;
       }
       for (const auto& view : *views) {
         std::printf("%s (%s):", view.name.c_str(),
@@ -360,33 +363,33 @@ int main(int argc, char** argv) {
         }
       }
     } else if (line.rfind("\\explain ", 0) == 0) {
-      run("EXPLAIN ANALYZE " + line.substr(sizeof("\\explain ") - 1));
+      return run("EXPLAIN ANALYZE " + line.substr(sizeof("\\explain ") - 1));
     } else if (line == "\\leakage" || line == "\\leakage on") {
       if (line == "\\leakage on") {
         if (!connect.empty()) {
           std::printf("the auditor runs inside the server: start "
                       "mope_serverd with --audit instead\n");
-          return;
+          return false;
         }
         auto enabled = system.EnableLeakageAudit(spec.domain);
         if (!enabled.ok()) {
           std::printf("error: %s\n", enabled.ToString().c_str());
-          return;
+          return false;
         }
         std::printf("leakage auditing on (server-side, ciphertext-only)\n");
-        return;
+        return true;
       }
       auto proxy = system.GetProxy("lineitem", "l_shipdate");
       if (!proxy.ok()) {
         std::printf("error: %s\n", proxy.status().ToString().c_str());
-        return;
+        return false;
       }
       // Same path \serverstats uses: the verdict is rendered from the
       // metrics snapshot, so it works identically embedded and remote.
       auto stats = (*proxy)->FetchServerStats();
       if (!stats.ok()) {
         std::printf("error: %s\n", stats.status().ToString().c_str());
-        return;
+        return false;
       }
       std::printf("%s", obs::LeakageAuditor::DescribeStats(*stats).c_str());
     } else if (line == "\\trace" || line.rfind("\\trace --chrome ", 0) == 0) {
@@ -394,13 +397,13 @@ int main(int argc, char** argv) {
         chrome_path = line.substr(sizeof("\\trace --chrome ") - 1);
         if (chrome_path.empty()) {
           std::printf("usage: \\trace --chrome FILE\n");
-          return;
+          return false;
         }
         tracing = true;
         session.EnableTracing();
         std::printf("tracing on; chrome trace JSON goes to %s\n",
                     chrome_path.c_str());
-        return;
+        return true;
       }
       tracing = !tracing;
       if (tracing) {
@@ -418,12 +421,13 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(rotated.value()));
       } else {
         std::printf("error: %s\n", rotated.status().ToString().c_str());
+        return false;
       }
     } else if (line.rfind("\\snapshot ", 0) == 0) {
       if (!connect.empty()) {
         std::printf("\\snapshot needs the embedded server "
                     "(the data lives in mope_serverd)\n");
-        return;
+        return false;
       }
       // The catalog is pure ciphertext — safe to hand to the server.
       const std::string dir = line.substr(10);
@@ -432,6 +436,7 @@ int main(int argc, char** argv) {
       std::printf("%s\n", saved.ok()
                               ? ("wrote encrypted catalog to " + dir).c_str()
                               : ("error: " + saved.ToString()).c_str());
+      return saved.ok();
     } else if (line == "\\tables") {
       std::printf("lineitem(l_orderkey, l_partkey, l_quantity, "
                   "l_extendedprice, l_discount, l_shipdate*, l_commitdate, "
@@ -440,15 +445,14 @@ int main(int argc, char** argv) {
                   "[client-side]\n");
     } else if (!line.empty() && line[0] == '\\') {
       std::printf("unknown meta-command %s (try \\help)\n", line.c_str());
+      return false;
     } else {
-      run(line);
+      return run(line);
     }
+    return true;
   };
 
-  if (have_one_shot) {
-    handle_line(one_shot);
-    return 0;
-  }
+  if (have_one_shot) return handle_line(one_shot) ? 0 : 1;
 
   if (connect.empty()) {
     std::printf("mope_shell — %zu LINEITEM rows, l_shipdate MOPE-encrypted.\n",

@@ -9,6 +9,14 @@
 /// per-record checksums (src/storage/). All three defend the same way:
 /// bytes that crossed an untrusted medium (network, disk) are verified
 /// before anything decodes them.
+///
+/// The kernel is picked once per process from the CPU: on x86-64 with
+/// PCLMULQDQ and SSE4.1, buffers of 64 bytes or more are folded with
+/// carry-less multiplies (~10x the table speed); everything else, and every
+/// buffer's tail, goes through slicing-by-8 tables, which are also the
+/// reference the folding kernel is tested against (crc32_internal.h). Both
+/// compute the same function, so no stored or transmitted checksum depends
+/// on the host.
 
 #include <cstdint>
 #include <string_view>

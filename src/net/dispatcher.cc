@@ -21,7 +21,9 @@ namespace {
 /// `trace_id` (the request's, possibly 0) is echoed on whichever frame goes
 /// back so the client can attribute the reply to its span tree; likewise an
 /// encoded `profile` rides on both outcomes — a failed query still reports
-/// what it cost.
+/// what it cost. `encode(value, headroom)` returns the body after
+/// `headroom` bytes of room, which SealFrame fills with the frame header:
+/// the reply body is written once, never copied into a frame.
 template <typename T, typename Encode>
 std::string ReplyOrStatus(const Result<T>& result, MessageType reply_type,
                           Encode&& encode, size_t max_payload,
@@ -32,19 +34,31 @@ std::string ReplyOrStatus(const Result<T>& result, MessageType reply_type,
                        EncodeStatusReply(result.status()), trace_id,
                        has_profile, profile);
   }
-  std::string body = encode(result.value());
-  if (body.size() > max_payload) {
+  const size_t headroom =
+      FramePrefixBytes(trace_id, has_profile, profile.size());
+  std::string frame = encode(result.value(), headroom);
+  const size_t body_size = frame.size() - headroom;
+  if (body_size > max_payload) {
     return EncodeFrame(
         MessageType::kStatusReply,
         EncodeStatusReply(Status::InvalidArgument(
-            "result too large for one frame (" +
-            std::to_string(body.size()) + " > " +
-            std::to_string(max_payload) +
+            "result too large for one frame (" + std::to_string(body_size) +
+            " > " + std::to_string(max_payload) +
             " bytes); narrow the ranges or lower the batch size")),
         trace_id, has_profile, profile);
   }
-  return EncodeFrame(reply_type, std::move(body), trace_id, has_profile,
-                     profile);
+  return SealFrame(reply_type, std::move(frame), trace_id, has_profile,
+                   profile);
+}
+
+/// A small reply body after `headroom` bytes of frame room (the one copy is
+/// a few bytes; the range-batch reply encodes in place instead).
+std::string AfterHeadroom(size_t headroom, std::string_view body) {
+  std::string out;
+  out.reserve(headroom + body.size());
+  out.resize(headroom);
+  out.append(body);
+  return out;
 }
 
 /// The reply's profile section: the request's cost when the client asked
@@ -260,7 +274,9 @@ Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
           cost);
       std::string reply = ReplyOrStatus(
           swept, MessageType::kRangeBatchReply,
-          [&rows](uint64_t) { return EncodeRangeBatchReply(rows); },
+          [&rows](uint64_t, size_t headroom) {
+            return EncodeRangeBatchReply(rows, headroom);
+          },
           options_.max_reply_payload_bytes, frame.trace_id, frame.has_profile,
           ProfileSection(frame, cost));
       // A periodic checkpoint is a server policy cost, deliberately outside
@@ -277,7 +293,9 @@ Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
           request->table, request->column, request->ranges, cost);
       std::string reply = ReplyOrStatus(
           count, MessageType::kCountBatchReply,
-          [](uint64_t c) { return EncodeCountBatchReply(c); },
+          [](uint64_t c, size_t headroom) {
+            return AfterHeadroom(headroom, EncodeCountBatchReply(c));
+          },
           options_.max_reply_payload_bytes, frame.trace_id, frame.has_profile,
           ProfileSection(frame, cost));
       MaybeCheckpointLocked(frame);
@@ -292,8 +310,9 @@ Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
       // accesses inside one would not see the lock held here.
       const Result<engine::Schema> schema = LookupSchemaLocked(*table);
       return ReplyOrStatus(schema, MessageType::kSchemaReply,
-                           [](const engine::Schema& s) {
-                             return EncodeSchemaReply(s);
+                           [](const engine::Schema& s, size_t headroom) {
+                             return AfterHeadroom(headroom,
+                                                  EncodeSchemaReply(s));
                            },
                            options_.max_reply_payload_bytes, frame.trace_id);
     }
@@ -307,7 +326,9 @@ Result<std::string> WireDispatcher::HandleFrameLocked(const Frame& frame,
       return ReplyOrStatus(
           Result<StatsReply>(server_->metrics()->Snapshot()),
           MessageType::kStatsReply,
-          [](const StatsReply& stats) { return EncodeStatsReply(stats); },
+          [](const StatsReply& stats, size_t headroom) {
+            return AfterHeadroom(headroom, EncodeStatsReply(stats));
+          },
           options_.max_reply_payload_bytes, frame.trace_id);
     }
     case MessageType::kRangeBatchReply:

@@ -93,8 +93,7 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
       return last;
     }
     const uint64_t sent_bytes =
-        kFrameHeaderBytes + (trace_id != 0 ? kTraceIdBytes : 0) +
-        (want_profile ? kProfileLengthBytes : 0) + payload.size();
+        FramePrefixBytes(trace_id, want_profile, 0) + payload.size();
     bytes_sent_->Increment(sent_bytes);
     last = WriteFrame(transport_.get(), request_type, payload, trace_id,
                       want_profile);
@@ -113,9 +112,8 @@ Result<Frame> RemoteConnection::RoundTrip(MessageType request_type,
       return last;  // Corruption and friends: fail fast
     }
     const uint64_t received_bytes =
-        kFrameHeaderBytes + (frame->trace_id != 0 ? kTraceIdBytes : 0) +
-        (frame->has_profile ? kProfileLengthBytes + frame->profile.size()
-                            : 0) +
+        FramePrefixBytes(frame->trace_id, frame->has_profile,
+                         frame->profile.size()) +
         frame->payload.size();
     bytes_received_->Increment(received_bytes);
     // Every exchange that got a reply is a completed round trip, an

@@ -56,16 +56,21 @@ Result<bool> PollFd(int fd, short events, int timeout_ms) {
 Result<size_t> SocketTransport::Read(char* buf, size_t max) {
   if (fd_ < 0) return Status::Unavailable("socket closed");
   while (true) {
+    // recv first: a reply usually arrives in one burst, so after the first
+    // wait the rest of the frame is already buffered and costs no poll.
+    // MSG_DONTWAIT keeps the deadline reachable even on a blocking fd.
+    const ssize_t n = ::recv(fd_, buf, max, MSG_DONTWAIT);
+    if (n > 0) return static_cast<size_t>(n);
+    if (n == 0) return static_cast<size_t>(0);  // orderly EOF
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
+      return ErrnoStatus("recv", errno);
+    }
+    // Nothing buffered on the non-blocking fd: wait for data, bounded by
+    // the read deadline.
     MOPE_ASSIGN_OR_RETURN(bool ready,
                           PollFd(fd_, POLLIN, options_.read_timeout_ms));
     if (!ready) return Status::Unavailable("read deadline expired");
-    const ssize_t n = ::recv(fd_, buf, max, 0);
-    if (n > 0) return static_cast<size_t>(n);
-    if (n == 0) return static_cast<size_t>(0);  // orderly EOF
-    // EAGAIN after a positive poll is a spurious wakeup on the non-blocking
-    // fd; re-arm the poll rather than spin on recv.
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    return ErrnoStatus("recv", errno);
   }
 }
 

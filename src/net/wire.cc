@@ -1,5 +1,7 @@
 #include "net/wire.h"
 
+#include <algorithm>
+
 #include "common/crc32.h"
 #include "engine/codec.h"
 
@@ -36,9 +38,105 @@ Result<ModularInterval> ReadInterval(ByteReader* reader) {
 
 uint32_t Crc32(std::string_view bytes) { return mope::Crc32(bytes); }
 
-std::string EncodeFrame(MessageType type, std::string payload,
-                        uint64_t trace_id, bool has_profile,
-                        std::string_view profile) {
+namespace {
+
+/// The fixed-size part of a frame: its 16-byte header and the extension
+/// fields the flags select (trace id, profile length), validated.
+struct FrameHead {
+  uint8_t type = 0;
+  uint8_t flags = 0;
+  uint32_t length = 0;
+  uint32_t crc = 0;
+  uint64_t trace_id = 0;
+  uint32_t profile_length = 0;
+
+  bool has_trace_id() const { return (flags & kFrameFlagHasTraceId) != 0; }
+  bool has_profile() const { return (flags & kFrameFlagHasProfile) != 0; }
+  /// Bytes of fixed-size extension fields after the header.
+  size_t extension_bytes() const {
+    return (has_trace_id() ? kTraceIdBytes : 0) +
+           (has_profile() ? kProfileLengthBytes : 0);
+  }
+};
+
+/// Validates the kFrameHeaderBytes at the front of `header` (magic, version,
+/// flags, reserved, length, in that order). The one header parser behind
+/// DecodeFrame and ReadFrame, so a buffer and a stream fail alike.
+Result<FrameHead> ParseHeader(std::string_view header) {
+  ByteReader reader(header.substr(0, kFrameHeaderBytes), "wire frame");
+  MOPE_ASSIGN_OR_RETURN(uint32_t magic, reader.U32());
+  if (magic != kWireMagic) {
+    return Status::Corruption("bad wire magic");
+  }
+  MOPE_ASSIGN_OR_RETURN(uint8_t version, reader.Byte());
+  if (version == 0 || version > kWireVersion) {
+    return Status::Corruption("unsupported wire protocol version " +
+                              std::to_string(version));
+  }
+  FrameHead head;
+  MOPE_ASSIGN_OR_RETURN(head.type, reader.Byte());
+  MOPE_ASSIGN_OR_RETURN(head.flags, reader.Byte());
+  MOPE_ASSIGN_OR_RETURN(uint8_t reserved, reader.Byte());
+  // Version 1 predates the flags byte: both bytes are reserved-zero there.
+  // In version 2, an unknown flag bit would change the framing underneath
+  // us, so it is Corruption, not something to ignore.
+  constexpr uint8_t kKnownFlags = kFrameFlagHasTraceId | kFrameFlagHasProfile;
+  if (version == 1 ? head.flags != 0 : (head.flags & ~kKnownFlags) != 0) {
+    return Status::Corruption(version == 1
+                                  ? "nonzero reserved bytes in frame header"
+                                  : "unknown frame flags");
+  }
+  if (reserved != 0) {
+    return Status::Corruption("nonzero reserved bytes in frame header");
+  }
+  MOPE_ASSIGN_OR_RETURN(head.length, reader.U32());
+  if (head.length > kMaxPayloadBytes) {
+    return Status::Corruption("oversized frame payload (" +
+                              std::to_string(head.length) + " bytes)");
+  }
+  MOPE_ASSIGN_OR_RETURN(head.crc, reader.U32());
+  return head;
+}
+
+/// Reads the head->extension_bytes() fixed extension fields at the front of
+/// `ext` into `head`, in flag-bit order.
+Status ParseExtensions(std::string_view ext, FrameHead* head) {
+  ByteReader reader(ext.substr(0, head->extension_bytes()), "wire frame");
+  if (head->has_trace_id()) {
+    MOPE_ASSIGN_OR_RETURN(head->trace_id, reader.U64());
+  }
+  if (head->has_profile()) {
+    MOPE_ASSIGN_OR_RETURN(head->profile_length, reader.U32());
+    if (head->profile_length > kMaxPayloadBytes) {
+      return Status::Corruption("oversized profile extension (" +
+                                std::to_string(head->profile_length) +
+                                " bytes)");
+    }
+  }
+  return Status::OK();
+}
+
+Frame FrameOf(const FrameHead& head) {
+  Frame frame;
+  frame.type = head.type;
+  frame.trace_id = head.trace_id;
+  frame.has_profile = head.has_profile();
+  return frame;
+}
+
+}  // namespace
+
+size_t FramePrefixBytes(uint64_t trace_id, bool has_profile,
+                        size_t profile_size) {
+  return kFrameHeaderBytes + (trace_id != 0 ? kTraceIdBytes : 0) +
+         (has_profile ? kProfileLengthBytes + profile_size : 0);
+}
+
+std::string SealFrame(MessageType type, std::string frame, uint64_t trace_id,
+                      bool has_profile, std::string_view profile) {
+  const size_t prefix = FramePrefixBytes(trace_id, has_profile, profile.size());
+  MOPE_CHECK(frame.size() >= prefix, "frame has no room for its header");
+  const std::string_view payload = std::string_view(frame).substr(prefix);
   MOPE_CHECK(payload.size() <= kMaxPayloadBytes, "frame payload too large");
   MOPE_CHECK(profile.size() <= kMaxPayloadBytes, "frame profile too large");
   // Extension-free frames stay version 1, byte-identical to what older
@@ -47,185 +145,153 @@ std::string EncodeFrame(MessageType type, std::string payload,
   const uint8_t flags =
       static_cast<uint8_t>((traced ? kFrameFlagHasTraceId : 0) |
                            (has_profile ? kFrameFlagHasProfile : 0));
-  std::string out;
-  out.reserve(kFrameHeaderBytes + (traced ? kTraceIdBytes : 0) +
-              (has_profile ? kProfileLengthBytes + profile.size() : 0) +
-              payload.size());
-  PutU32(&out, kWireMagic);
-  out.push_back(static_cast<char>(flags != 0 ? kWireVersion : 1));
-  out.push_back(static_cast<char>(type));
-  out.push_back(static_cast<char>(flags));
-  out.push_back(0);  // reserved
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, Crc32(payload));
-  if (traced) PutU64(&out, trace_id);
+  char* p = StoreU32(frame.data(), kWireMagic);
+  *p++ = static_cast<char>(flags != 0 ? kWireVersion : 1);
+  *p++ = static_cast<char>(type);
+  *p++ = static_cast<char>(flags);
+  *p++ = 0;  // reserved
+  p = StoreU32(p, static_cast<uint32_t>(payload.size()));
+  p = StoreU32(p, Crc32(payload));
+  if (traced) p = StoreU64(p, trace_id);
   if (has_profile) {
-    PutU32(&out, static_cast<uint32_t>(profile.size()));
-    out.append(profile);
+    p = StoreU32(p, static_cast<uint32_t>(profile.size()));
+    profile.copy(p, profile.size());
   }
-  out.append(payload);
-  return out;
+  return frame;
+}
+
+std::string EncodeFrame(MessageType type, std::string payload,
+                        uint64_t trace_id, bool has_profile,
+                        std::string_view profile) {
+  const size_t prefix = FramePrefixBytes(trace_id, has_profile, profile.size());
+  std::string frame;
+  frame.reserve(prefix + payload.size());
+  frame.resize(prefix);
+  frame.append(payload);
+  return SealFrame(type, std::move(frame), trace_id, has_profile, profile);
 }
 
 Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed) {
   if (bytes.size() < kFrameHeaderBytes) {
     return Status::Unavailable("incomplete frame header");
   }
-  ByteReader header(bytes.substr(0, kFrameHeaderBytes), "wire frame");
-  MOPE_ASSIGN_OR_RETURN(uint32_t magic, header.U32());
-  if (magic != kWireMagic) {
-    return Status::Corruption("bad wire magic");
-  }
-  MOPE_ASSIGN_OR_RETURN(uint8_t version, header.Byte());
-  if (version == 0 || version > kWireVersion) {
-    return Status::Corruption("unsupported wire protocol version " +
-                              std::to_string(version));
-  }
-  MOPE_ASSIGN_OR_RETURN(uint8_t type, header.Byte());
-  MOPE_ASSIGN_OR_RETURN(uint8_t flags, header.Byte());
-  MOPE_ASSIGN_OR_RETURN(uint8_t reserved, header.Byte());
-  // Version 1 predates the flags byte: both bytes are reserved-zero there.
-  // In version 2, an unknown flag bit would change the framing underneath
-  // us, so it is Corruption, not something to ignore.
-  constexpr uint8_t kKnownFlags = kFrameFlagHasTraceId | kFrameFlagHasProfile;
-  if (version == 1 ? flags != 0 : (flags & ~kKnownFlags) != 0) {
-    return Status::Corruption(version == 1
-                                  ? "nonzero reserved bytes in frame header"
-                                  : "unknown frame flags");
-  }
-  if (reserved != 0) {
-    return Status::Corruption("nonzero reserved bytes in frame header");
-  }
-  MOPE_ASSIGN_OR_RETURN(uint32_t length, header.U32());
-  if (length > kMaxPayloadBytes) {
-    return Status::Corruption("oversized frame payload (" +
-                              std::to_string(length) + " bytes)");
-  }
-  MOPE_ASSIGN_OR_RETURN(uint32_t crc, header.U32());
-  Frame frame;
-  frame.type = type;
+  MOPE_ASSIGN_OR_RETURN(FrameHead head, ParseHeader(bytes));
   // Extensions sit between the header and the payload in flag-bit order;
   // the profile one is length-prefixed, so framing is discovered in stages.
   size_t offset = kFrameHeaderBytes;
-  if ((flags & kFrameFlagHasTraceId) != 0) {
-    if (bytes.size() < offset + kTraceIdBytes) {
-      return Status::Unavailable("incomplete frame payload");
-    }
-    ByteReader ext(bytes.substr(offset, kTraceIdBytes), "wire frame");
-    MOPE_ASSIGN_OR_RETURN(frame.trace_id, ext.U64());
-    offset += kTraceIdBytes;
-  }
-  if ((flags & kFrameFlagHasProfile) != 0) {
-    frame.has_profile = true;
-    if (bytes.size() < offset + kProfileLengthBytes) {
-      return Status::Unavailable("incomplete frame payload");
-    }
-    ByteReader ext(bytes.substr(offset, kProfileLengthBytes), "wire frame");
-    MOPE_ASSIGN_OR_RETURN(uint32_t profile_len, ext.U32());
-    if (profile_len > kMaxPayloadBytes) {
-      return Status::Corruption("oversized profile extension (" +
-                                std::to_string(profile_len) + " bytes)");
-    }
-    offset += kProfileLengthBytes;
-    if (bytes.size() < offset + profile_len) {
-      return Status::Unavailable("incomplete frame payload");
-    }
-    frame.profile.assign(bytes.substr(offset, profile_len));
-    offset += profile_len;
-  }
-  if (bytes.size() - offset < length) {
+  if (bytes.size() < offset + head.extension_bytes()) {
     return Status::Unavailable("incomplete frame payload");
   }
-  const std::string_view payload = bytes.substr(offset, length);
-  if (Crc32(payload) != crc) {
+  MOPE_RETURN_NOT_OK(ParseExtensions(bytes.substr(offset), &head));
+  offset += head.extension_bytes();
+  Frame frame = FrameOf(head);
+  if (bytes.size() - offset < head.profile_length) {
+    return Status::Unavailable("incomplete frame payload");
+  }
+  frame.profile.assign(bytes.substr(offset, head.profile_length));
+  offset += head.profile_length;
+  if (bytes.size() - offset < head.length) {
+    return Status::Unavailable("incomplete frame payload");
+  }
+  const std::string_view payload = bytes.substr(offset, head.length);
+  if (Crc32(payload) != head.crc) {
     return Status::Corruption("frame CRC mismatch");
   }
-  if (consumed != nullptr) *consumed = offset + length;
+  if (consumed != nullptr) *consumed = offset + head.length;
   frame.payload.assign(payload);
   return frame;
 }
 
 namespace {
 
-/// Reads exactly `n` more bytes into `out`. `at_boundary` distinguishes a
-/// clean EOF before any header byte (peer hung up between requests) from a
-/// stream cut mid-frame.
-Status ReadExact(Transport* transport, size_t n, std::string* out,
-                 bool at_boundary) {
+/// After the header, ReadFrame's second read asks for up to this many bytes
+/// past the extension fields (never more than the payload length, so never
+/// past the frame): a profile section typically arrives in the same call as
+/// its length prefix.
+constexpr size_t kReadAhead = 512;
+
+/// Reads at least `min` and at most `max` bytes into `buf`, returning the
+/// count. `at_boundary` distinguishes a clean EOF before any header byte
+/// (peer hung up between requests) from a stream cut mid-frame.
+Result<size_t> ReadAtLeast(Transport* transport, char* buf, size_t min,
+                           size_t max, bool at_boundary) {
   size_t got = 0;
-  char buf[4096];
-  while (got < n) {
-    MOPE_ASSIGN_OR_RETURN(
-        size_t chunk, transport->Read(buf, std::min(n - got, sizeof(buf))));
+  while (got < min) {
+    MOPE_ASSIGN_OR_RETURN(size_t chunk, transport->Read(buf + got, max - got));
     if (chunk == 0) {
       return (at_boundary && got == 0)
                  ? Status::Unavailable("connection closed")
                  : Status::Unavailable("connection closed mid-frame");
     }
-    out->append(buf, chunk);
     got += chunk;
+  }
+  return got;
+}
+
+/// A length field is only the peer's claim, so a field's buffer starts at
+/// most this large and doubles as bytes actually arrive: a forged header
+/// cannot make the reader allocate 64 MiB up front. Smaller fields (every
+/// range-batch reply of the benchmark) are read with one allocation and
+/// one copy.
+constexpr size_t kFirstFieldBytes = 64 << 10;
+static_assert(kReadAhead <= kFirstFieldBytes);
+
+/// Reads a `size`-byte field into `out`: the front of `*ahead` first
+/// (consumed), the rest straight from the transport.
+Status ReadField(Transport* transport, size_t size, std::string_view* ahead,
+                 std::string* out) {
+  size_t have = std::min(size, ahead->size());
+  out->resize(std::min(size, kFirstFieldBytes));
+  ahead->copy(out->data(), have);
+  ahead->remove_prefix(have);
+  while (have < size) {
+    if (have == out->size()) out->resize(std::min(size, 2 * have));
+    const size_t want = out->size() - have;
+    MOPE_RETURN_NOT_OK(ReadAtLeast(transport, out->data() + have, want, want,
+                                   /*at_boundary=*/false)
+                           .status());
+    have += want;
   }
   return Status::OK();
 }
 
 }  // namespace
 
-Result<std::string> ReadFrameBytes(Transport* transport) {
-  std::string raw;
-  raw.reserve(kFrameHeaderBytes);
-  MOPE_RETURN_NOT_OK(
-      ReadExact(transport, kFrameHeaderBytes, &raw, /*at_boundary=*/true));
-  // Vet the header far enough to learn the payload length; full validation
-  // (CRC included) happens in DecodeFrame once the bytes are in hand.
-  ByteReader header(raw, "wire frame");
-  MOPE_ASSIGN_OR_RETURN(uint32_t magic, header.U32());
-  if (magic != kWireMagic) {
-    return Status::Corruption("bad wire magic");
-  }
-  MOPE_ASSIGN_OR_RETURN(uint8_t version, header.Byte());
-  if (version == 0 || version > kWireVersion) {
-    return Status::Corruption("unsupported wire protocol version " +
-                              std::to_string(version));
-  }
-  MOPE_RETURN_NOT_OK(header.Byte().status());  // type: dispatcher's problem
-  MOPE_ASSIGN_OR_RETURN(uint8_t flags, header.Byte());
-  MOPE_RETURN_NOT_OK(header.Byte().status());  // reserved, checked on decode
-  MOPE_ASSIGN_OR_RETURN(uint32_t length, header.U32());
-  if (length > kMaxPayloadBytes) {
-    return Status::Corruption("oversized frame payload (" +
-                              std::to_string(length) + " bytes)");
-  }
-  // The flags byte tells us how many extension bytes precede the payload;
-  // flag *validity* is DecodeFrame's job once everything is in hand. The
-  // profile extension is length-prefixed, so its prefix is read first.
-  const size_t fixed_ext =
-      (version >= 2 && (flags & kFrameFlagHasTraceId) != 0) ? kTraceIdBytes
-                                                            : 0;
-  const bool has_profile =
-      version >= 2 && (flags & kFrameFlagHasProfile) != 0;
-  MOPE_RETURN_NOT_OK(ReadExact(
-      transport, fixed_ext + (has_profile ? kProfileLengthBytes : 0), &raw,
-      /*at_boundary=*/false));
-  size_t profile_len = 0;
-  if (has_profile) {
-    ByteReader plen(std::string_view(raw).substr(
-                        kFrameHeaderBytes + fixed_ext, kProfileLengthBytes),
-                    "wire frame");
-    MOPE_ASSIGN_OR_RETURN(uint32_t len32, plen.U32());
-    if (len32 > kMaxPayloadBytes) {
-      return Status::Corruption("oversized profile extension (" +
-                                std::to_string(len32) + " bytes)");
-    }
-    profile_len = len32;
-  }
-  MOPE_RETURN_NOT_OK(
-      ReadExact(transport, profile_len + length, &raw, /*at_boundary=*/false));
-  return raw;
-}
-
 Result<Frame> ReadFrame(Transport* transport) {
-  MOPE_ASSIGN_OR_RETURN(std::string raw, ReadFrameBytes(transport));
-  return DecodeFrame(raw, nullptr);
+  char head_bytes[kFrameHeaderBytes + kTraceIdBytes + kProfileLengthBytes +
+                  kReadAhead];
+  MOPE_RETURN_NOT_OK(ReadAtLeast(transport, head_bytes, kFrameHeaderBytes,
+                                 kFrameHeaderBytes, /*at_boundary=*/true)
+                         .status());
+  MOPE_ASSIGN_OR_RETURN(
+      FrameHead head,
+      ParseHeader(std::string_view(head_bytes, kFrameHeaderBytes)));
+  // The extension fields, plus whatever of the profile and payload has
+  // already arrived (bounded by the payload length, which the frame holds
+  // at the least). Validated exactly as DecodeFrame does.
+  std::string_view ahead;
+  const size_t ext = head.extension_bytes();
+  if (ext > 0) {
+    char* const ext_bytes = head_bytes + kFrameHeaderBytes;
+    MOPE_ASSIGN_OR_RETURN(
+        size_t got,
+        ReadAtLeast(transport, ext_bytes, ext,
+                    ext + std::min<size_t>(head.length, kReadAhead),
+                    /*at_boundary=*/false));
+    MOPE_RETURN_NOT_OK(
+        ParseExtensions(std::string_view(ext_bytes, ext), &head));
+    ahead = std::string_view(ext_bytes + ext, got - ext);
+  }
+  // Profile, then payload: each lands in its own string, the read-ahead
+  // bytes first, the rest straight from the transport.
+  Frame frame = FrameOf(head);
+  MOPE_RETURN_NOT_OK(
+      ReadField(transport, head.profile_length, &ahead, &frame.profile));
+  MOPE_RETURN_NOT_OK(ReadField(transport, head.length, &ahead, &frame.payload));
+  if (Crc32(frame.payload) != head.crc) {
+    return Status::Corruption("frame CRC mismatch");
+  }
+  return frame;
 }
 
 Status WriteFrame(Transport* transport, MessageType type, std::string payload,
@@ -287,17 +353,18 @@ Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload) {
 namespace {
 
 /// One sizing pass, one allocation, then direct little-endian stores, so a
-/// reply costs its bytes rather than a call per byte. `row_of(entry)` is
-/// the row of one (id, row-or-pointer) entry.
+/// reply costs its bytes rather than a call per byte. The body starts after
+/// `headroom` zero bytes. `row_of(entry)` is the row of one (id,
+/// row-or-pointer) entry.
 template <typename Rows, typename RowOf>
-std::string EncodeReplyRows(const Rows& rows, RowOf row_of) {
-  size_t size = 8;
+std::string EncodeReplyRows(const Rows& rows, RowOf row_of, size_t headroom) {
+  size_t size = headroom + 8;
   for (const auto& entry : rows) {
     size += 12;
     for (const engine::Value& v : row_of(entry)) size += EncodedSize(v);
   }
   std::string out(size, '\0');
-  char* p = StoreU64(out.data(), rows.size());
+  char* p = StoreU64(out.data() + headroom, rows.size());
   for (const auto& entry : rows) {
     const engine::Row& row = row_of(entry);
     p = StoreU64(p, entry.first);
@@ -311,13 +378,16 @@ std::string EncodeReplyRows(const Rows& rows, RowOf row_of) {
 
 std::string EncodeRangeBatchReply(const RowsWithIds& rows) {
   return EncodeReplyRows(
-      rows, [](const auto& entry) -> const engine::Row& { return entry.second; });
+      rows,
+      [](const auto& entry) -> const engine::Row& { return entry.second; },
+      /*headroom=*/0);
 }
 
-std::string EncodeRangeBatchReply(const RowRefs& rows) {
-  return EncodeReplyRows(rows, [](const auto& entry) -> const engine::Row& {
-    return *entry.second;
-  });
+std::string EncodeRangeBatchReply(const RowRefs& rows, size_t headroom) {
+  return EncodeReplyRows(
+      rows,
+      [](const auto& entry) -> const engine::Row& { return *entry.second; },
+      headroom);
 }
 
 Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload) {

@@ -113,17 +113,33 @@ std::string EncodeFrame(MessageType type, std::string payload,
                         uint64_t trace_id = 0, bool has_profile = false,
                         std::string_view profile = {});
 
+/// Bytes a frame spends before its payload: the header plus the extension
+/// fields that `trace_id`, `has_profile` and a profile of `profile_size`
+/// bytes select.
+size_t FramePrefixBytes(uint64_t trace_id, bool has_profile,
+                        size_t profile_size);
+
+/// Completes a frame whose payload was encoded in place: `frame` holds
+/// FramePrefixBytes(trace_id, has_profile, profile.size()) bytes of room,
+/// then the payload. Writes the header and extensions into that room, so
+/// the payload is never copied; the result is byte-identical to
+/// EncodeFrame(type, payload, trace_id, has_profile, profile). Same
+/// preconditions as EncodeFrame.
+std::string SealFrame(MessageType type, std::string frame,
+                      uint64_t trace_id = 0, bool has_profile = false,
+                      std::string_view profile = {});
+
 /// Validates and decodes the frame at the front of `bytes`; on success sets
 /// `*consumed` to its total size. Corruption on any header/CRC violation;
 /// Unavailable when `bytes` holds less than one whole frame (more input may
 /// still arrive).
 Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed);
 
-/// Reads one whole raw frame (header + payload bytes) off a transport.
-/// Unavailable on timeout or connection loss; Corruption as in DecodeFrame.
-Result<std::string> ReadFrameBytes(Transport* transport);
-
-/// ReadFrameBytes + DecodeFrame.
+/// Reads one frame off a transport: the header and extension fields into a
+/// small buffer (checked by DecodeFrame's own parser), then the profile and
+/// payload straight into the Frame, the CRC verified in place. Never reads
+/// past the frame. Unavailable on timeout or connection loss; Corruption as
+/// in DecodeFrame.
 Result<Frame> ReadFrame(Transport* transport);
 
 /// Encodes and writes one frame. InvalidArgument (no bytes written) when the
@@ -152,8 +168,10 @@ Result<RangeBatchRequest> DecodeRangeBatchRequest(std::string_view payload);
 
 /// u64 row count, then per row its u64 id, u32 width and codec values.
 std::string EncodeRangeBatchReply(const RowsWithIds& rows);
-/// The same bytes, encoded straight from table rows (no row copies).
-std::string EncodeRangeBatchReply(const RowRefs& rows);
+/// The same bytes, encoded straight from table rows (no row copies), after
+/// `headroom` bytes of room: the dispatcher reserves FramePrefixBytes there
+/// and seals the reply frame around the body (SealFrame) without copying it.
+std::string EncodeRangeBatchReply(const RowRefs& rows, size_t headroom = 0);
 Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload);
 
 std::string EncodeCountBatchReply(uint64_t count);

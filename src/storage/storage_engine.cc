@@ -174,6 +174,11 @@ Status StorageEngine::RedoRecords(DiskManager* disk,
   return Status::OK();
 }
 
+bool StorageEngine::Exists(Env* env, const std::string& dir) {
+  return env->FileExists(PagesPath(dir)) || env->FileExists(WalPath(dir)) ||
+         env->FileExists(MetaPath(dir));
+}
+
 Result<std::unique_ptr<StorageEngine>> StorageEngine::Open(
     const std::string& dir, const StorageOptions& options) {
   const obs::ScopedSpan open_span("storage.recovery");

@@ -82,6 +82,11 @@ class StorageEngine {
   static Result<std::unique_ptr<StorageEngine>> Open(
       const std::string& dir, const StorageOptions& options);
 
+  /// True when `dir` already holds a page file, a WAL or a checkpoint meta.
+  /// Creates nothing, so a caller can refuse a fresh dir before Open would
+  /// initialize it.
+  static bool Exists(Env* env, const std::string& dir);
+
   BufferPool* pool() { return pool_.get(); }
   Wal* wal() { return wal_.get(); }
   WalLogger* logger() { return &logger_; }

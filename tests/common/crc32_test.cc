@@ -1,9 +1,11 @@
-/// Differential test of the table-driven CRC-32 against a bit-at-a-time
-/// reference: every length from 0 to 64 (covers each tail length of the
-/// word loop), longer buffers up to a little over a page, every start
-/// offset modulo the word size, and random split points for the
-/// incremental form. The pages, the WAL and the wire frame all check these
-/// values, so a divergence here is a format break.
+/// Differential test of the CRC-32 against a bit-at-a-time reference: every
+/// length from 0 to 64 (covers each tail length of the word loop), longer
+/// buffers up to a little over a page, every start offset modulo the word
+/// size, and random split points for the incremental form. Each kernel
+/// (slicing-by-8 and, where the CPU has it, PCLMULQDQ folding) is also
+/// checked on its own at every length to 4,200 and every start offset, so
+/// neither can hide behind the other. The pages, the WAL and the wire frame
+/// all check these values, so a divergence here is a format break.
 
 #include "common/crc32.h"
 
@@ -13,6 +15,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/crc32_internal.h"
 #include "common/random.h"
 
 namespace mope {
@@ -102,6 +105,59 @@ TEST(Crc32Test, ContinueMatchesReferenceAtRandomSplits) {
     ASSERT_EQ(Crc32Continue(seed, bytes), ReferenceContinue(seed, bytes))
         << "n=" << n;
   }
+}
+
+using Kernel = uint32_t (*)(uint32_t crc, std::string_view bytes);
+
+/// Every length 0..4200 at each of the 8 start offsets (every tail length
+/// of the 16-byte fold and of the 8-byte slice, at every alignment), the
+/// incremental form at random split points and random seeds, and seeded
+/// 1 MiB buffers. The reference over a growing prefix is advanced one byte
+/// at a time, so the sweep costs the kernel's work, not the reference's.
+void ExpectKernelMatchesReference(Kernel kernel) {
+  Rng rng(0xD1FF);
+  constexpr size_t kMaxLen = 4200;
+  const std::string buffer = RandomBytes(&rng, kMaxLen + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const std::string_view from = std::string_view(buffer).substr(offset);
+    uint32_t want = 0;
+    for (size_t n = 0; n <= kMaxLen; ++n) {
+      if (n > 0) want = ReferenceContinue(want, from.substr(n - 1, 1));
+      ASSERT_EQ(kernel(0, from.substr(0, n)), want)
+          << "offset=" << offset << " n=" << n;
+    }
+  }
+  for (int rep = 0; rep < 300; ++rep) {
+    const size_t n = rng.UniformUint64(kMaxLen + 1);
+    const std::string_view bytes = std::string_view(buffer).substr(0, n);
+    const size_t split = rng.UniformUint64(n + 1);
+    ASSERT_EQ(kernel(kernel(0, bytes.substr(0, split)), bytes.substr(split)),
+              Reference(bytes))
+        << "n=" << n << " split=" << split;
+    const uint32_t seed = static_cast<uint32_t>(rng.NextWord());
+    ASSERT_EQ(kernel(seed, bytes), ReferenceContinue(seed, bytes))
+        << "n=" << n;
+  }
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng big_rng(seed);
+    const std::string big = RandomBytes(&big_rng, size_t{1} << 20);
+    ASSERT_EQ(kernel(0, big), Reference(big)) << "seed=" << seed;
+  }
+}
+
+TEST(Crc32KernelTest, PortableMatchesReference) {
+  ExpectKernelMatchesReference(&crc32_internal::ContinuePortable);
+}
+
+TEST(Crc32KernelTest, PclmulMatchesReference) {
+#if MOPE_CRC32_HAS_PCLMUL
+  if (!crc32_internal::CpuHasPclmul()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ or SSE4.1";
+  }
+  ExpectKernelMatchesReference(&crc32_internal::ContinuePclmul);
+#else
+  GTEST_SKIP() << "this build has no PCLMULQDQ kernel (not x86-64)";
+#endif
 }
 
 }  // namespace

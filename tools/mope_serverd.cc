@@ -18,9 +18,10 @@
 /// DIR that already holds data is recovered on startup — crash recovery
 /// replays the WAL — and served as-is (--tpch then only seeds an empty
 /// DIR). Without --tpch the daemon is keyless: DIR must already hold
-/// tables. The pages hold the same MOPE ciphertexts the in-memory catalog
-/// does; kill -9 never costs more than a WAL replay plus an index rebuild,
-/// and never a re-encryption.
+/// tables, and a DIR without storage files is refused (exit 2) before
+/// anything is created in it. The pages hold the same MOPE ciphertexts
+/// the in-memory catalog does; kill -9 never costs more than a WAL replay
+/// plus an index rebuild, and never a re-encryption.
 ///
 /// Observability:
 ///   - Every operational message is a structured log line (src/obs/log.h)
@@ -80,6 +81,7 @@
 #include "ope/ope.h"
 #include "proxy/system.h"
 #include "storage/env.h"
+#include "storage/storage_engine.h"
 #include "workload/tpch.h"
 
 namespace {
@@ -177,6 +179,14 @@ void PrintUsage(const char* argv0) {
 /// the raw stream next to the usage text they accompany.
 void FlagError(const char* fmt, const char* detail) {
   std::fprintf(stderr, fmt, detail);  // invariant-ok: R11 usage/help text
+}
+
+/// Keyless mode's refusal of a data dir with nothing to serve; exit code 2.
+int RefuseEmptyDataDir(const std::string& data_dir) {
+  FlagError("--data-dir %s holds no tables: fill it with mope_shell's "
+            "\\snapshot DIR, or seed it with --tpch\n",
+            data_dir.c_str());
+  return 2;
 }
 
 }  // namespace
@@ -309,6 +319,12 @@ int main(int argc, char** argv) {
     PrintUsage(argv[0]);
     return 2;
   }
+  // Keyless mode serves an existing data dir and nothing else; refuse a
+  // missing or storage-less one before opening it would create files there.
+  if (!tpch &&
+      !storage::StorageEngine::Exists(storage::Env::Posix(), data_dir)) {
+    return RefuseEmptyDataDir(data_dir);
+  }
   // Alert rules need samples to evaluate against; turn the sampler on at a
   // 1s default cadence rather than silently doing nothing.
   if ((default_alerts || !alert_rules.empty()) && sample_every_ms == 0) {
@@ -361,10 +377,7 @@ int main(int argc, char** argv) {
   if (recovered_data) {
     // The durable state wins; --tpch only seeds an empty dir.
   } else if (!tpch) {
-    FlagError("--data-dir %s holds no tables: fill it with mope_shell's "
-              "\\snapshot DIR, or seed it with --tpch\n",
-              data_dir.c_str());
-    return 2;
+    return RefuseEmptyDataDir(data_dir);
   } else {
     workload::TpchConfig config;
     config.scale_factor = scale;

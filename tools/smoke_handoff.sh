@@ -10,7 +10,8 @@
 #   3. mope_shell --connect runs the same query over TCP; the answer must
 #      equal the embedded one.
 #   4. A second `\snapshot DIR` into the now-populated dir must fail
-#      cleanly, and --data-dir alone on an empty dir must exit 2.
+#      cleanly with exit status 1, and --data-dir alone on an empty dir
+#      must exit 2 without creating any storage file there.
 #
 # Usage: tools/smoke_handoff.sh [BUILD_DIR]   (default: build)
 
@@ -98,12 +99,14 @@ wait "$server_pid" 2>/dev/null || true
 server_pid=""
 
 # --- 4. Refusals. -----------------------------------------------------------
-again="$("$MOPE_SHELL" -c "\\snapshot $data_dir")"
+rc=0
+again="$("$MOPE_SHELL" -c "\\snapshot $data_dir")" || rc=$?
 echo "$again"
-echo "$again" | grep -q '^error: already exists: ' || {
-  echo "smoke_handoff: second \\snapshot into a populated dir did not fail" >&2
+if [ "$rc" -ne 1 ] || ! echo "$again" | grep -q '^error: already exists: '; then
+  echo "smoke_handoff: second \\snapshot into a populated dir exited $rc," \
+       "want 1 and 'error: already exists'" >&2
   exit 1
-}
+fi
 rc=0
 "$SERVERD" --data-dir "$work_dir/empty" --port 0 2>"$server_log" || rc=$?
 if [ "$rc" -ne 2 ] || ! grep -q 'holds no tables' "$server_log"; then
@@ -111,5 +114,11 @@ if [ "$rc" -ne 2 ] || ! grep -q 'holds no tables' "$server_log"; then
   cat "$server_log" >&2
   exit 1
 fi
+for leftover in pages.db wal.log; do
+  if [ -e "$work_dir/empty/$leftover" ]; then
+    echo "smoke_handoff: the refused dir gained $leftover" >&2
+    exit 1
+  fi
+done
 echo "smoke_handoff: populated and empty dirs refused cleanly"
 echo "smoke_handoff: OK"
