@@ -46,43 +46,56 @@ Result<uint64_t> ByteReader::U64() {
   return v;
 }
 
-Result<std::string> ByteReader::String() {
+Result<std::string_view> ByteReader::StringBytes() {
   MOPE_ASSIGN_OR_RETURN(uint64_t len, U64());
   if (len > bytes_.size() - pos_) {
     return Status::Corruption(std::string(context_) +
                               " string length out of bounds");
   }
-  std::string s(bytes_.substr(pos_, len));
+  const std::string_view s = bytes_.substr(pos_, len);
   pos_ += len;
   return s;
 }
 
+Result<std::string> ByteReader::String() {
+  MOPE_ASSIGN_OR_RETURN(std::string_view s, StringBytes());
+  return std::string(s);
+}
+
 Result<Value> ByteReader::ReadValue() {
-  MOPE_ASSIGN_OR_RETURN(uint8_t tag, Byte());
   Value out;
+  MOPE_RETURN_NOT_OK(ReadValueInto(&out));
+  return out;
+}
+
+Status ByteReader::ReadTaggedValue(Value* out) {
+  MOPE_ASSIGN_OR_RETURN(uint8_t tag, Byte());
   switch (tag) {
     case 0: {
       MOPE_ASSIGN_OR_RETURN(uint64_t bits, U64());
-      out = static_cast<int64_t>(bits);
-      break;
+      *out = static_cast<int64_t>(bits);
+      return Status::OK();
     }
     case 1: {
       MOPE_ASSIGN_OR_RETURN(uint64_t bits, U64());
       double d;
       std::memcpy(&d, &bits, 8);
-      out = d;
-      break;
+      *out = d;
+      return Status::OK();
     }
     case 2: {
-      MOPE_ASSIGN_OR_RETURN(std::string s, String());
-      out = std::move(s);
-      break;
+      MOPE_ASSIGN_OR_RETURN(std::string_view s, StringBytes());
+      if (std::string* held = std::get_if<std::string>(out)) {
+        held->assign(s);
+      } else {
+        *out = std::string(s);
+      }
+      return Status::OK();
     }
     default:
       return Status::Corruption(std::string("unknown value tag in ") +
                                 context_);
   }
-  return out;
 }
 
 }  // namespace mope::engine

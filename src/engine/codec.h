@@ -98,26 +98,28 @@ class ByteReader {
   Result<std::string> String();
   Result<Value> ReadValue();
 
-  /// Fast path for the fixed-width tags: when the next value is an int or a
-  /// double and all nine of its bytes are present, appends it to `row` and
-  /// returns true. Otherwise consumes nothing and returns false, and
-  /// ReadValue decodes the value or reports why it cannot — so a caller
-  /// that falls back to ReadValue sees exactly ReadValue's outcomes.
-  bool TryAppendFixedValue(Row* row) {
-    if (bytes_.size() - pos_ < 9) return false;
-    const char* p = bytes_.data() + pos_;
-    const uint64_t bits = LoadU64(p + 1);
-    if (p[0] == 0) {
-      row->emplace_back(static_cast<int64_t>(bits));
-    } else if (p[0] == 1) {
-      double d;
-      std::memcpy(&d, &bits, 8);
-      row->emplace_back(d);
-    } else {
-      return false;
+  /// ReadValue into `*out`: the same bytes and errors, but a string is
+  /// assigned into the string `*out` holds, if any, so decoding over the
+  /// values of an earlier row of the same shape allocates nothing. An int
+  /// or a double with all nine bytes present takes one bounds check.
+  Status ReadValueInto(Value* out) {
+    if (bytes_.size() - pos_ >= 9) {
+      const char* p = bytes_.data() + pos_;
+      const uint64_t bits = LoadU64(p + 1);
+      if (p[0] == 0) {
+        *out = static_cast<int64_t>(bits);
+        pos_ += 9;
+        return Status::OK();
+      }
+      if (p[0] == 1) {
+        double d;
+        std::memcpy(&d, &bits, 8);
+        *out = d;
+        pos_ += 9;
+        return Status::OK();
+      }
     }
-    pos_ += 9;
-    return true;
+    return ReadTaggedValue(out);
   }
 
   bool AtEnd() const { return pos_ == bytes_.size(); }
@@ -127,6 +129,11 @@ class ByteReader {
   Status Truncated() const {
     return Status::Corruption(std::string(context_) + " truncated");
   }
+
+  /// ReadValueInto's general path: reads the tag, then the value.
+  Status ReadTaggedValue(Value* out);
+  /// The bytes of a length-prefixed string, bounds-checked.
+  Result<std::string_view> StringBytes();
 
   /// Little-endian words from byte loads, spelled out so the compiler
   /// merges them into one word load: no alignment or host byte order

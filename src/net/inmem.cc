@@ -69,10 +69,12 @@ std::unique_ptr<Transport> InProcessChannel::NewTransport() {
 Result<size_t> FaultInjectingTransport::Read(char* buf, size_t max) {
   switch (spec_.kind) {
     case FaultKind::kTimeoutRead:
-      if (!fired_) {
+      if (fired_) break;
+      if (bytes_delivered_ >= spec_.arg) {
         fired_ = true;
         return Status::Unavailable("injected fault: read timed out");
       }
+      max = std::min<uint64_t>(max, spec_.arg - bytes_delivered_);
       break;
     case FaultKind::kTruncate:
     case FaultKind::kDisconnect:
@@ -93,12 +95,15 @@ Result<size_t> FaultInjectingTransport::Read(char* buf, size_t max) {
 
 Status FaultInjectingTransport::Write(const char* data, size_t n) {
   switch (spec_.kind) {
-    case FaultKind::kDropWrite:
-      if (!fired_) {
-        fired_ = true;
-        return Status::OK();  // accepted, never delivered
-      }
-      break;
+    case FaultKind::kDropWrite: {
+      // Bytes before `arg` are delivered; the rest are accepted and lost.
+      const uint64_t deliver =
+          bytes_written_ >= spec_.arg
+              ? 0
+              : std::min<uint64_t>(n, spec_.arg - bytes_written_);
+      bytes_written_ += n;
+      return deliver > 0 ? inner_->Write(data, deliver) : Status::OK();
+    }
     case FaultKind::kFailWrite:
       if (!fired_) {
         fired_ = true;

@@ -12,12 +12,13 @@
 /// no kernel — every test run takes the same code path byte for byte.
 ///
 /// FaultInjectingTransport wraps any Transport and misbehaves on command:
-/// swallow a request, time a read out, cut the reply short, flip a byte,
-/// hang up mid-reply. Counters (not randomness) trigger the faults, so each
-/// failure scenario is exactly reproducible, and each maps onto what a real
-/// network does: kDrop = lost datagram, kTimeout = stalled peer, kTruncate /
-/// kDisconnect = connection reset mid-stream, kCorrupt = bit rot that CRC
-/// must catch.
+/// swallow requests, time a read out, cut the reply short, flip a byte,
+/// hang up mid-reply. Byte counters (not randomness) trigger the faults, so
+/// each failure scenario is exactly reproducible, and each maps onto what a
+/// real network does: kDrop = a black-holed stream, kTimeout = stalled peer,
+/// kTruncate / kDisconnect = connection reset mid-stream, kCorrupt = bit rot
+/// that CRC must catch. The byte positions let a test aim a fault at any
+/// one of several pipelined requests or replies.
 
 #include <cstdint>
 #include <memory>
@@ -51,9 +52,14 @@ class InProcessChannel {
 /// Which misbehavior to inject, in terms of observable network failures.
 enum class FaultKind : uint8_t {
   kNone = 0,
-  kDropWrite,    ///< Swallow written bytes: the request never arrives.
+  /// Swallow every written byte from byte `arg` on: the requests from there
+  /// never arrive. A byte stream cannot lose one request and deliver the
+  /// next, so the stream stays silent after the first lost byte.
+  kDropWrite,
   kFailWrite,    ///< Write returns Unavailable (send on a reset connection).
-  kTimeoutRead,  ///< Read returns Unavailable (deadline expired).
+  /// Read returns Unavailable (deadline expired) once, after `arg`
+  /// delivered bytes.
+  kTimeoutRead,
   kTruncate,     ///< Deliver only the first `arg` reply bytes, then EOF.
   kCorrupt,      ///< XOR 0xFF into delivered byte number `arg` (0-based).
   kDisconnect,   ///< EOF after `arg` delivered bytes (peer hung up).
@@ -61,7 +67,7 @@ enum class FaultKind : uint8_t {
 
 struct FaultSpec {
   FaultKind kind = FaultKind::kNone;
-  /// Byte position/count parameter for kTruncate / kCorrupt / kDisconnect.
+  /// Byte position/count parameter (ignored by kFailWrite).
   uint64_t arg = 0;
 };
 
@@ -82,7 +88,8 @@ class FaultInjectingTransport final : public Transport {
   std::unique_ptr<Transport> inner_;
   FaultSpec spec_;
   uint64_t bytes_delivered_ = 0;
-  bool fired_ = false;  ///< One-shot faults (drop/fail/timeout) spent?
+  uint64_t bytes_written_ = 0;
+  bool fired_ = false;  ///< One-shot faults (fail/timeout) spent?
 };
 
 }  // namespace mope::net

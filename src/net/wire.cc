@@ -294,11 +294,11 @@ Result<Frame> ReadFrame(Transport* transport) {
   return frame;
 }
 
-Status WriteFrame(Transport* transport, MessageType type, std::string payload,
-                  uint64_t trace_id, bool has_profile,
-                  std::string_view profile) {
-  // Callers hand WriteFrame unbounded application data (e.g. a huge range
-  // batch); overflow must come back as a Status, not trip EncodeFrame's
+Result<std::string> EncodeCheckedFrame(MessageType type, std::string payload,
+                                       uint64_t trace_id, bool has_profile,
+                                       std::string_view profile) {
+  // Callers hand this unbounded application data (e.g. a huge range batch);
+  // overflow must come back as a Status, not trip EncodeFrame's
   // precondition check.
   if (payload.size() > kMaxPayloadBytes) {
     return Status::InvalidArgument(
@@ -310,8 +310,15 @@ Status WriteFrame(Transport* transport, MessageType type, std::string payload,
         "profile too large for one frame (" + std::to_string(profile.size()) +
         " > " + std::to_string(kMaxPayloadBytes) + " bytes)");
   }
-  const std::string frame =
-      EncodeFrame(type, std::move(payload), trace_id, has_profile, profile);
+  return EncodeFrame(type, std::move(payload), trace_id, has_profile, profile);
+}
+
+Status WriteFrame(Transport* transport, MessageType type, std::string payload,
+                  uint64_t trace_id, bool has_profile,
+                  std::string_view profile) {
+  MOPE_ASSIGN_OR_RETURN(const std::string frame,
+                        EncodeCheckedFrame(type, std::move(payload), trace_id,
+                                           has_profile, profile));
   return transport->Write(frame.data(), frame.size());
 }
 
@@ -390,7 +397,7 @@ std::string EncodeRangeBatchReply(const RowRefs& rows, size_t headroom) {
       headroom);
 }
 
-Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload) {
+Status DecodeRangeBatchReply(std::string_view payload, RowsWithIds* rows) {
   ByteReader reader(payload, "wire frame");
   MOPE_ASSIGN_OR_RETURN(uint64_t count, reader.U64());
   // Each row costs at least 12 bytes on the wire; a count beyond that bound
@@ -398,29 +405,27 @@ Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload) {
   if (count > reader.remaining() / 12) {
     return Status::Corruption("implausible row count in batch reply");
   }
-  RowsWithIds rows;
-  rows.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    MOPE_ASSIGN_OR_RETURN(uint64_t rid, reader.U64());
+  rows->resize(count);
+  for (auto& [rid, row] : *rows) {
+    MOPE_ASSIGN_OR_RETURN(rid, reader.U64());
     MOPE_ASSIGN_OR_RETURN(uint32_t num_values, reader.U32());
     if (num_values > 4096) {
       return Status::Corruption("implausible column count in batch reply");
     }
-    engine::Row row;
-    row.reserve(num_values);
-    for (uint32_t c = 0; c < num_values; ++c) {
-      // Ints and doubles (nearly every ciphertext-table value) take one
-      // bounds check; strings, unknown tags and short input go through
-      // ReadValue, which owns every error message.
-      if (reader.TryAppendFixedValue(&row)) continue;
-      MOPE_ASSIGN_OR_RETURN(engine::Value v, reader.ReadValue());
-      row.push_back(std::move(v));
+    row.resize(num_values);
+    for (engine::Value& value : row) {
+      MOPE_RETURN_NOT_OK(reader.ReadValueInto(&value));
     }
-    rows.emplace_back(rid, std::move(row));
   }
   if (!reader.AtEnd()) {
     return Status::Corruption("trailing bytes after batch reply");
   }
+  return Status::OK();
+}
+
+Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload) {
+  RowsWithIds rows;
+  MOPE_RETURN_NOT_OK(DecodeRangeBatchReply(payload, &rows));
   return rows;
 }
 

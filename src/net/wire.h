@@ -106,9 +106,9 @@ uint32_t Crc32(std::string_view bytes);
 /// byte-identical to what older builds emit; any extension selects version
 /// 2. `profile` is the StatsReply-encoded profile section (empty = request
 /// for one). Precondition (MOPE_CHECKed): payload and profile each fit in
-/// kMaxPayloadBytes — for unbounded or peer-influenced data use WriteFrame
-/// (client side) or the dispatcher's reply cap (server side), which surface
-/// overflow as a Status instead.
+/// kMaxPayloadBytes — for unbounded or peer-influenced data use
+/// EncodeCheckedFrame or WriteFrame (client side) or the dispatcher's reply
+/// cap (server side), which surface overflow as a Status instead.
 std::string EncodeFrame(MessageType type, std::string payload,
                         uint64_t trace_id = 0, bool has_profile = false,
                         std::string_view profile = {});
@@ -142,6 +142,13 @@ Result<Frame> DecodeFrame(std::string_view bytes, size_t* consumed);
 /// in DecodeFrame.
 Result<Frame> ReadFrame(Transport* transport);
 
+/// EncodeFrame for unbounded application data: InvalidArgument when the
+/// payload (or profile section) exceeds kMaxPayloadBytes.
+Result<std::string> EncodeCheckedFrame(MessageType type, std::string payload,
+                                       uint64_t trace_id = 0,
+                                       bool has_profile = false,
+                                       std::string_view profile = {});
+
 /// Encodes and writes one frame. InvalidArgument (no bytes written) when the
 /// payload (or profile section) exceeds kMaxPayloadBytes.
 Status WriteFrame(Transport* transport, MessageType type, std::string payload,
@@ -173,6 +180,10 @@ std::string EncodeRangeBatchReply(const RowsWithIds& rows);
 /// and seals the reply frame around the body (SealFrame) without copying it.
 std::string EncodeRangeBatchReply(const RowRefs& rows, size_t headroom = 0);
 Result<RowsWithIds> DecodeRangeBatchReply(std::string_view payload);
+/// The same decode into `*rows`, reusing the storage of the rows it already
+/// holds: over replies of the same table, a string or row allocates only
+/// where the earlier value was narrower. `*rows` is unspecified on error.
+Status DecodeRangeBatchReply(std::string_view payload, RowsWithIds* rows);
 
 std::string EncodeCountBatchReply(uint64_t count);
 Result<uint64_t> DecodeCountBatchReply(std::string_view payload);

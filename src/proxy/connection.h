@@ -5,13 +5,15 @@
 /// The proxy's view of the database server.
 ///
 /// In the paper's deployment the server is a remote, unmodified DBMS; the
-/// proxy only needs two capabilities from it: execute a batch of range
+/// proxy only needs two capabilities from it: execute batches of range
 /// predicates over an indexed column, and describe a table. Abstracting
 /// them behind ServerConnection lets tests inject transient failures (a
 /// real network does fail) and makes the proxy location-transparent: the
 /// wire protocol lives behind net::RemoteConnection (src/net/), which slots
 /// in here without touching the proxy logic.
 
+#include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,15 +26,48 @@
 
 namespace mope::proxy {
 
+/// One range batch's rows, each with its stable row id.
+using BatchRows = std::vector<std::pair<engine::RowId, engine::Row>>;
+
+/// Receives one batch's rows; it may move rows out. A non-OK status stops
+/// the call that is visiting.
+using BatchVisitor = std::function<Status(BatchRows& rows)>;
+
+/// How far ExecuteRangeBatches got: the first `completed` batches were
+/// visited, then `status` stopped it. `status` is OK iff every batch was.
+struct BatchesResult {
+  size_t completed = 0;
+  Status status;
+};
+
 class ServerConnection {
  public:
   virtual ~ServerConnection() = default;
 
   /// Executes a batch of (possibly wrapping) ciphertext ranges against the
   /// index on `column` of `table`; rows come back with stable row ids.
-  virtual Result<std::vector<std::pair<engine::RowId, engine::Row>>>
-  ExecuteRangeBatch(const std::string& table, const std::string& column,
-                    const std::vector<ModularInterval>& ranges) = 0;
+  virtual Result<BatchRows> ExecuteRangeBatch(
+      const std::string& table, const std::string& column,
+      const std::vector<ModularInterval>& ranges) = 0;
+
+  /// Executes every range batch of one query and hands each batch's rows to
+  /// `visit`, in batch order. An implementation may send later batches
+  /// before it visits earlier ones (RemoteConnection pipelines them), so
+  /// the visitor must not decide what is sent. The default runs one
+  /// ExecuteRangeBatch per batch.
+  virtual BatchesResult ExecuteRangeBatches(
+      const std::string& table, const std::string& column,
+      std::span<const std::vector<ModularInterval>> batches,
+      const BatchVisitor& visit) {
+    BatchesResult result;
+    for (const std::vector<ModularInterval>& ranges : batches) {
+      auto rows = ExecuteRangeBatch(table, column, ranges);
+      result.status = rows.ok() ? visit(*rows) : rows.status();
+      if (!result.status.ok()) break;
+      ++result.completed;
+    }
+    return result;
+  }
 
   /// Schema of a server table (catalog lookup).
   virtual Result<engine::Schema> GetSchema(const std::string& table) = 0;
@@ -67,7 +102,7 @@ class DirectConnection final : public ServerConnection {
  public:
   explicit DirectConnection(engine::DbServer* server) : server_(server) {}
 
-  Result<std::vector<std::pair<engine::RowId, engine::Row>>> ExecuteRangeBatch(
+  Result<BatchRows> ExecuteRangeBatch(
       const std::string& table, const std::string& column,
       const std::vector<ModularInterval>& ranges) override {
     return server_->ExecuteRangeBatchWithIds(table, column, ranges,

@@ -2,7 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <iterator>
+#include <span>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "obs/trace.h"
 
@@ -27,6 +32,97 @@ Status ValidateProxyConfig(const ProxyConfig& config,
   }
   return Status::OK();
 }
+
+/// For each batch of a query, the part of the client's encrypted range that
+/// the batch is the first to cover, as sorted disjoint half-open offsets
+/// from the range's start. An honest server returns a row once in every
+/// batch whose ranges hold its key ciphertext, so a row's first copy is the
+/// one whose ciphertext lies in its batch's part. Testing that keeps
+/// exactly the rows a dedup by row id would keep, without looking anything
+/// up while replies arrive, and the kept rows never exceed the answer.
+class FirstCover {
+ public:
+  FirstCover(const ModularInterval& want,
+             std::span<const std::vector<ModularInterval>> batches)
+      : start_(want.start()), length_(want.length()), domain_(want.domain()) {
+    std::vector<Span> covered;  // every earlier batch's cover
+    std::vector<Span> cover;    // this batch's cover
+    std::vector<Span> merged;
+    for (const std::vector<ModularInterval>& ranges : batches) {
+      cover.clear();
+      for (const ModularInterval& range : ranges) AddPieces(range, &cover);
+      Normalize(&cover);
+      begin_.push_back(spans_.size());
+      // This batch's part: its cover minus every earlier cover.
+      auto done = covered.begin();
+      for (auto [lo, hi] : cover) {
+        while (done != covered.end() && done->second <= lo) ++done;
+        for (auto it = done; it != covered.end() && it->first < hi; ++it) {
+          if (it->first > lo) spans_.emplace_back(lo, it->first);
+          lo = std::max(lo, it->second);
+        }
+        if (lo < hi) spans_.emplace_back(lo, hi);
+      }
+      merged.clear();
+      std::merge(covered.begin(), covered.end(), cover.begin(), cover.end(),
+                 std::back_inserter(merged));
+      Normalize(&merged);
+      covered.swap(merged);
+    }
+    begin_.push_back(spans_.size());
+  }
+
+  /// Whether `cipher` lies in batch `b`'s part.
+  bool Contains(size_t b, uint64_t cipher) const {
+    if (cipher >= domain_) return false;
+    const uint64_t offset =
+        cipher >= start_ ? cipher - start_ : cipher + (domain_ - start_);
+    if (offset >= length_) return false;
+    const auto first = spans_.begin() + static_cast<ptrdiff_t>(begin_[b]);
+    const auto last = spans_.begin() + static_cast<ptrdiff_t>(begin_[b + 1]);
+    auto it = std::upper_bound(
+        first, last, offset,
+        [](uint64_t x, const Span& span) { return x < span.first; });
+    return it != first && offset < std::prev(it)->second;
+  }
+
+ private:
+  using Span = std::pair<uint64_t, uint64_t>;
+
+  /// Appends the offsets of `range` that fall in the client's range (up to
+  /// two pieces: the range may wrap past the client range's start).
+  void AddPieces(const ModularInterval& range, std::vector<Span>* out) const {
+    const uint64_t begin = range.start() >= start_
+                               ? range.start() - start_
+                               : range.start() + (domain_ - start_);
+    const uint64_t end = begin + range.length();  // <= 2 * domain_
+    if (begin < length_) {
+      out->emplace_back(begin, std::min({end, domain_, length_}));
+    }
+    if (end > domain_) out->emplace_back(0, std::min(end - domain_, length_));
+  }
+
+  /// Sorts `spans` and merges the ones that overlap or touch.
+  static void Normalize(std::vector<Span>* spans) {
+    std::sort(spans->begin(), spans->end());
+    size_t out = 0;
+    for (const Span& span : *spans) {
+      if (out > 0 && span.first <= (*spans)[out - 1].second) {
+        (*spans)[out - 1].second =
+            std::max((*spans)[out - 1].second, span.second);
+      } else {
+        (*spans)[out++] = span;
+      }
+    }
+    spans->resize(out);
+  }
+
+  uint64_t start_;
+  uint64_t length_;
+  uint64_t domain_;
+  std::vector<Span> spans_;    ///< Every batch's part, batch after batch.
+  std::vector<size_t> begin_;  ///< Batch b's part: [begin_[b], begin_[b+1]).
+};
 
 }  // namespace
 
@@ -162,13 +258,17 @@ Status Proxy::SetupAlgorithm(const dist::Distribution* known_q) {
   return Status::OK();
 }
 
-Result<std::vector<std::pair<engine::RowId, engine::Row>>> Proxy::SendBatch(
-    const std::vector<ModularInterval>& cipher_ranges) {
-  uint32_t attempt = 0;
+Status Proxy::SendBatches(
+    std::span<const std::vector<ModularInterval>> batches,
+    const BatchVisitor& visit) {
+  uint32_t attempt = 0;  // retries of the first batch not yet visited
   while (true) {
-    auto rows = connection_->ExecuteRangeBatch(config_.table, config_.column,
-                                               cipher_ranges);
-    if (rows.ok() || attempt >= config_.max_retries) return rows;
+    const BatchesResult result = connection_->ExecuteRangeBatches(
+        config_.table, config_.column, batches, visit);
+    if (result.status.ok()) return Status::OK();
+    batches = batches.subspan(result.completed);
+    if (result.completed > 0) attempt = 0;
+    if (attempt >= config_.max_retries) return result.status;
     ++attempt;
     ++retries_performed_;
     retries_->Increment();
@@ -241,7 +341,7 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
     if (fq.start < issued_starts_.size()) issued_starts_.Add(fq.start);
   }
 
-  // 4: encrypt and ship in disjunctive batches, one batch per clock tick.
+  // 4: encrypt every disjunctive batch, then ship them all in one call.
   // Since MOPE preserves modular order, a row's plaintext lies in the
   // client's range iff its ciphertext lies in the range's encryption — so
   // results can be filtered in ciphertext space and only the rows that
@@ -252,13 +352,17 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
                         mope_.EncryptRange(want));
   const ModularInterval want_cipher_iv = ModularInterval::FromEndpoints(
       want_cipher.first, want_cipher.last, mope_.range());
-  std::unordered_set<engine::RowId> seen;
-  for (size_t offset = 0; offset < batch.size(); offset += config_.batch_size) {
-    const size_t end = std::min(batch.size(), offset + config_.batch_size);
-    std::vector<ModularInterval> cipher_ranges;
-    cipher_ranges.reserve(end - offset);
-    {
-      const obs::ScopedSpan span("proxy.encrypt");
+  std::vector<std::vector<ModularInterval>> cipher_batches;
+  cipher_batches.reserve((batch.size() + config_.batch_size - 1) /
+                         config_.batch_size);
+  {
+    const obs::ScopedSpan span("proxy.encrypt");
+    for (size_t offset = 0; offset < batch.size();
+         offset += config_.batch_size) {
+      const size_t end = std::min(batch.size(), offset + config_.batch_size);
+      std::vector<ModularInterval>& cipher_ranges =
+          cipher_batches.emplace_back();
+      cipher_ranges.reserve(end - offset);
       for (size_t i = offset; i < end; ++i) {
         const ModularInterval plain =
             query::CoverageOf(batch[i], config_.k, config_.domain);
@@ -267,19 +371,45 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
             cr.first, cr.last, mope_.range()));
       }
     }
-    MOPE_ASSIGN_OR_RETURN(auto rows, SendBatch(cipher_ranges));
-    ++response.server_requests;
-    ++response.clock_ticks;
-    response.rows_received += rows.size();
+  }
 
-    // 5: keep rows whose ciphertext falls in the client's encrypted range
-    // (deduplicating rows returned by more than one overlapping request),
-    // then decrypt the key column of just those rows.
+  // 5: per reply, only a key test and a row move. The server sees when each
+  // request arrives, so nothing that depends on a reply's content (a
+  // decryption, a dedup lookup) may run before the last request is out.
+  // The key test is against the plan: it keeps a row only from the first
+  // batch that covers its ciphertext, so duplicates are never kept.
+  const FirstCover first_cover(want_cipher_iv, cipher_batches);
+  size_t visited = 0;
+  BatchRows kept;
+  MOPE_RETURN_NOT_OK(SendBatches(
+      cipher_batches, [&](BatchRows& rows) -> Status {
+        for (auto& entry : rows) {
+          const engine::Row& row = entry.second;
+          const int64_t* cipher =
+              key_column_index_ < row.size()
+                  ? std::get_if<int64_t>(&row[key_column_index_])
+                  : nullptr;
+          if (cipher == nullptr) {
+            return Status::Corruption("reply row has no integer key column");
+          }
+          if (first_cover.Contains(visited, static_cast<uint64_t>(*cipher))) {
+            kept.push_back(std::move(entry));
+          }
+        }
+        response.rows_received += rows.size();
+        ++visited;
+        return Status::OK();
+      }));
+  response.server_requests = cipher_batches.size();
+
+  // 6: drop any row kept twice (a batch retried after a partial visit, or
+  // a server that repeats a row), then decrypt the key column of the rest.
+  {
     const obs::ScopedSpan span("proxy.decrypt_filter");
-    for (auto& [rid, row] : rows) {
-      const int64_t cipher = std::get<int64_t>(row[key_column_index_]);
-      if (!want_cipher_iv.Contains(static_cast<uint64_t>(cipher))) continue;
+    std::unordered_set<engine::RowId> seen;
+    for (auto& [rid, row] : kept) {
       if (!seen.insert(rid).second) continue;
+      const int64_t cipher = std::get<int64_t>(row[key_column_index_]);
       MOPE_ASSIGN_OR_RETURN(uint64_t plain,
                             mope_.Decrypt(static_cast<uint64_t>(cipher)));
       row[key_column_index_] = static_cast<int64_t>(plain);
@@ -290,7 +420,6 @@ Result<QueryResponse> Proxy::ExecuteRange(const RangeQuery& q) {
   totals_.real_queries_sent += response.real_queries_sent;
   totals_.fake_queries_sent += response.fake_queries_sent;
   totals_.server_requests += response.server_requests;
-  totals_.clock_ticks += response.clock_ticks;
   totals_.rows_received += response.rows_received;
   real_queries_->Increment(response.real_queries_sent);
   fake_queries_->Increment(response.fake_queries_sent);

@@ -13,15 +13,24 @@
 ///      (possibly wrap-around) ciphertext range,
 ///   4. ships them to the server in fixed-size disjunctive batches (the
 ///      Section 5.1 multiple-range optimization; batch size 1 = one request
-///      per query), at a fixed pacing of one batch per clock tick,
-///   5. filters the returned ciphertext rows, keeping exactly those whose
-///      decrypted key falls in the client's original range.
+///      per query), all through one ServerConnection::ExecuteRangeBatches
+///      call,
+///   5. keeps each returned row whose key ciphertext lies in the part of
+///      the client's encrypted range that its batch is the first to cover
+///      (so a row returned by several batches is kept once), and once
+///      every reply is in, deduplicates by row id and decrypts the keys.
 ///
 /// The server only ever observes encrypted ranges whose start points follow
-/// the uniform (QueryU) or ρ-periodic (QueryP) perceived distribution.
+/// the uniform (QueryU) or ρ-periodic (QueryP) perceived distribution. It
+/// also observes when each request arrives, so the proxy does no decryption
+/// or dedup between two sends: every batch is planned and encrypted before
+/// the first one goes out, and the only per-reply work is a key test and a
+/// row move. Send times may depend on the plan and on the size and arrival
+/// of earlier replies, which the server knows, but not on their content.
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -77,9 +86,8 @@ struct QueryResponse {
 
   uint64_t real_queries_sent = 0;  ///< |τk(q)| pieces executed.
   uint64_t fake_queries_sent = 0;  ///< Fake/duplicate queries executed.
-  uint64_t server_requests = 0;    ///< Batched round trips to the server.
+  uint64_t server_requests = 0;    ///< Batched requests to the server.
   uint64_t rows_received = 0;      ///< Ciphertext rows shipped back.
-  uint64_t clock_ticks = 0;        ///< Fixed-interval slots consumed.
 };
 
 class Proxy {
@@ -177,10 +185,11 @@ class Proxy {
   /// the proxy is visible to any other thread.
   Status SetupAlgorithm(const dist::Distribution* known_q);
 
-  /// Sends one batch, retrying up to config_.max_retries times.
-  Result<std::vector<std::pair<engine::RowId, engine::Row>>> SendBatch(
-      const std::vector<ModularInterval>& cipher_ranges)
-      MOPE_REQUIRES(mutex_);
+  /// Sends every batch through the connection, visiting each reply. A
+  /// failed batch is retried up to config_.max_retries times; a retry
+  /// resumes from the failed batch, so completed batches are not resent.
+  Status SendBatches(std::span<const std::vector<ModularInterval>> batches,
+                     const BatchVisitor& visit) MOPE_REQUIRES(mutex_);
 
   ProxyConfig config_;
   /// Serializes client requests (Fig. 4: many clients). Lowest rank in the

@@ -215,6 +215,126 @@ TEST(FaultTest, ConnectionSurvivesAcrossRequests) {
   EXPECT_EQ(conn.connects(), 1u);  // one stream, three requests
 }
 
+// --- Pipelined multi-batch exchanges --------------------------------------
+
+/// Five one-range batches with replies of different sizes, sent as one
+/// pipelined exchange.
+const std::vector<std::vector<ModularInterval>> kBatches = {
+    {ModularInterval(0, 3, 100)},  {ModularInterval(20, 9, 100)},
+    {ModularInterval(50, 1, 100)}, {ModularInterval(95, 10, 100)},
+    {ModularInterval(40, 6, 100)}};
+
+struct BatchesRun {
+  Status status;
+  std::vector<proxy::BatchRows> rows;  ///< One entry per visited batch.
+};
+
+BatchesRun RunBatches(RemoteConnection* conn, const std::string& table) {
+  BatchesRun run;
+  run.status = conn->ExecuteRangeBatches(table, "key", kBatches,
+                                         [&run](proxy::BatchRows& rows) {
+                                           run.rows.push_back(std::move(rows));
+                                           return Status::OK();
+                                         })
+                   .status;
+  return run;
+}
+
+/// Frame sizes of kBatches' requests and replies, one batch at a time.
+struct FrameSizes {
+  std::vector<uint64_t> requests;
+  std::vector<uint64_t> replies;
+};
+
+FrameSizes MeasureFrames(engine::DbServer* server) {
+  FlakyNet net(server, {});
+  RemoteConnection conn(net.Options(0));
+  const obs::Counter* sent = net.registry.GetCounter("net.client.bytes_sent");
+  const obs::Counter* received =
+      net.registry.GetCounter("net.client.bytes_received");
+  FrameSizes sizes;
+  for (const std::vector<ModularInterval>& ranges : kBatches) {
+    const uint64_t sent_before = sent->Value();
+    const uint64_t received_before = received->Value();
+    EXPECT_TRUE(conn.ExecuteRangeBatch("data", "key", ranges).ok());
+    sizes.requests.push_back(sent->Value() - sent_before);
+    sizes.replies.push_back(received->Value() - received_before);
+  }
+  return sizes;
+}
+
+/// Stream offset of frame `index` among frames of `sizes`.
+uint64_t OffsetOf(const std::vector<uint64_t>& sizes, size_t index) {
+  uint64_t offset = 0;
+  for (size_t i = 0; i < index; ++i) offset += sizes[i];
+  return offset;
+}
+
+/// Injects `fault(at)` at the first, a middle and the last reply of the
+/// exchange. Each run must return the fault-free rows after one retry that
+/// resends request `at` and every later one, and nothing earlier.
+void ExpectPipelineRecovers(FaultSpec (*fault)(const FrameSizes&, size_t)) {
+  engine::DbServer server = MakeServer();
+  const FrameSizes sizes = MeasureFrames(&server);
+  FlakyNet clean_net(&server, {});
+  RemoteConnection clean_conn(clean_net.Options(0));
+  const BatchesRun clean = RunBatches(&clean_conn, "data");
+  ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
+  ASSERT_EQ(clean.rows.size(), kBatches.size());
+  EXPECT_EQ(clean_conn.connects(), 1u);
+
+  const uint64_t all_requests = OffsetOf(sizes.requests, kBatches.size());
+  for (const size_t at :
+       {size_t{0}, kBatches.size() / 2, kBatches.size() - 1}) {
+    SCOPED_TRACE("fault at reply " + std::to_string(at));
+    FlakyNet net(&server, {fault(sizes, at)});
+    RemoteConnection conn(net.Options(3));
+    const BatchesRun run = RunBatches(&conn, "data");
+    ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+    EXPECT_EQ(run.rows, clean.rows);
+    EXPECT_EQ(conn.retries(), 1u);
+    EXPECT_EQ(conn.connects(), 2u);
+    EXPECT_EQ(net.registry.GetCounter("net.client.bytes_sent")->Value(),
+              2 * all_requests - OffsetOf(sizes.requests, at));
+    EXPECT_EQ(net.registry.GetCounter("net.client.roundtrips")->Value(),
+              kBatches.size());
+  }
+}
+
+TEST(FaultTest, PipelinedDropResendsFromTheLostRequest) {
+  ExpectPipelineRecovers([](const FrameSizes& sizes, size_t at) {
+    return FaultSpec{FaultKind::kDropWrite, OffsetOf(sizes.requests, at)};
+  });
+}
+
+TEST(FaultTest, PipelinedTruncationResendsFromTheCutReply) {
+  ExpectPipelineRecovers([](const FrameSizes& sizes, size_t at) {
+    return FaultSpec{FaultKind::kTruncate, OffsetOf(sizes.replies, at) + 7};
+  });
+}
+
+TEST(FaultTest, PipelinedReadTimeoutResendsFromTheLateReply) {
+  ExpectPipelineRecovers([](const FrameSizes& sizes, size_t at) {
+    return FaultSpec{FaultKind::kTimeoutRead, OffsetOf(sizes.replies, at)};
+  });
+}
+
+TEST(FaultTest, StatusReplyMidPipelineLeavesNoStaleReplies) {
+  // The first reply is an error while four more are in flight: the
+  // exchange stops, and the next one must not read those four.
+  engine::DbServer server = MakeServer();
+  FlakyNet net(&server, {});
+  RemoteConnection conn(net.Options(0));
+  const BatchesRun failed = RunBatches(&conn, "no_such_table");
+  EXPECT_TRUE(failed.status.IsNotFound()) << failed.status.ToString();
+  EXPECT_TRUE(failed.rows.empty());
+  auto rows = conn.ExecuteRangeBatch("data", "key", kRanges);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(rows->size(), 5u);
+  EXPECT_EQ(conn.connects(), 2u);
+  EXPECT_EQ(conn.retries(), 0u);
+}
+
 // --- The whole proxy stack over a flaky wire ------------------------------
 
 TEST(FaultTest, EncryptedQueriesSucceedOverFlakyWire) {

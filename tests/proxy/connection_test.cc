@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "proxy/proxy.h"
 
 namespace mope::proxy {
@@ -149,6 +154,83 @@ TEST(ConnectionTest, RetriedBatchesDoNotDuplicateRows) {
   auto resp = (*proxy)->ExecuteRange({0, 15});
   ASSERT_TRUE(resp.ok());
   EXPECT_EQ(resp->rows.size(), 16u);
+}
+
+/// Test double: fails the listed requests (0-based over every
+/// ExecuteRangeBatch call) once each, and records each request's ranges.
+class ScriptedConnection final : public ServerConnection {
+ public:
+  ScriptedConnection(DbServer* server, std::set<int> fail_at,
+                     std::vector<std::vector<ModularInterval>>* sent)
+      : real_(server), fail_at_(std::move(fail_at)), sent_(sent) {}
+
+  Result<std::vector<std::pair<RowId, Row>>> ExecuteRangeBatch(
+      const std::string& table, const std::string& column,
+      const std::vector<ModularInterval>& ranges) override {
+    sent_->push_back(ranges);
+    if (fail_at_.count(requests_++) > 0) {
+      return Status::Unavailable("simulated network failure");
+    }
+    return real_.ExecuteRangeBatch(table, column, ranges);
+  }
+
+  Result<engine::Schema> GetSchema(const std::string& table) override {
+    return real_.GetSchema(table);
+  }
+
+ private:
+  DirectConnection real_;
+  std::set<int> fail_at_;
+  std::vector<std::vector<ModularInterval>>* sent_;
+  int requests_ = 0;
+};
+
+TEST(ConnectionTest, ProxyRetryResumesFromTheFailedBatch) {
+  // [0, 15] with k = 4 is four batches. The third fails once: the retry
+  // resends it and the fourth, never the two that completed.
+  Fixture fx;
+  std::vector<std::vector<ModularInterval>> clean_sent;
+  auto clean = Proxy::Create(
+      fx.Config(/*retries=*/0), fx.Scheme(),
+      std::make_unique<ScriptedConnection>(&fx.server, std::set<int>{},
+                                           &clean_sent));
+  ASSERT_TRUE(clean.ok());
+  auto expected = (*clean)->ExecuteRange({0, 15});
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  ASSERT_EQ(clean_sent.size(), 4u);
+
+  std::vector<std::vector<ModularInterval>> sent;
+  auto proxy = Proxy::Create(
+      fx.Config(/*retries=*/1), fx.Scheme(),
+      std::make_unique<ScriptedConnection>(&fx.server, std::set<int>{2},
+                                           &sent));
+  ASSERT_TRUE(proxy.ok());
+  auto resp = (*proxy)->ExecuteRange({0, 15});
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->rows, expected->rows);
+  EXPECT_EQ(resp->server_requests, 4u);
+  EXPECT_EQ((*proxy)->retries_performed(), 1u);
+  EXPECT_EQ(sent, (std::vector<std::vector<ModularInterval>>{
+                      clean_sent[0], clean_sent[1], clean_sent[2],
+                      clean_sent[2], clean_sent[3]}));
+}
+
+TEST(ConnectionTest, ProxyRetryBudgetIsPerBatch) {
+  // One retry allowed, and the second and fourth batches each fail once
+  // (requests 1 and 4): every batch has its own budget, so the query
+  // completes with two retries.
+  Fixture fx;
+  std::vector<std::vector<ModularInterval>> sent;
+  auto proxy = Proxy::Create(
+      fx.Config(/*retries=*/1), fx.Scheme(),
+      std::make_unique<ScriptedConnection>(&fx.server, std::set<int>{1, 4},
+                                           &sent));
+  ASSERT_TRUE(proxy.ok());
+  auto resp = (*proxy)->ExecuteRange({0, 15});
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  EXPECT_EQ(resp->rows.size(), 16u);
+  EXPECT_EQ((*proxy)->retries_performed(), 2u);
+  EXPECT_EQ(sent.size(), 6u);
 }
 
 }  // namespace

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/random.h"
+#include "ope/ope.h"
 #include "proxy/system.h"
 #include "workload/datasets.h"
 
@@ -147,6 +153,94 @@ TEST(ProxyTest, BatchingReducesServerRequests) {
   ExpectCorrectAnswer(*ra, RangeQuery{0, 9});
   ExpectCorrectAnswer(*rb, RangeQuery{0, 9});
   EXPECT_GT(ra->server_requests, rb->server_requests);
+}
+
+/// Records every batch's rows on their way to the proxy; with `repeat`,
+/// also sends every row of a batch twice, as a faulty server might.
+class RecordingConnection final : public ServerConnection {
+ public:
+  RecordingConnection(engine::DbServer* server, bool repeat,
+                      std::vector<BatchRows>* replies)
+      : real_(server), repeat_(repeat), replies_(replies) {}
+
+  Result<BatchRows> ExecuteRangeBatch(
+      const std::string& table, const std::string& column,
+      const std::vector<ModularInterval>& ranges) override {
+    MOPE_ASSIGN_OR_RETURN(BatchRows rows,
+                          real_.ExecuteRangeBatch(table, column, ranges));
+    if (repeat_) {
+      const size_t n = rows.size();
+      for (size_t i = 0; i < n; ++i) rows.push_back(rows[i]);
+    }
+    replies_->push_back(rows);
+    return rows;
+  }
+
+  Result<Schema> GetSchema(const std::string& table) override {
+    return real_.GetSchema(table);
+  }
+
+ private:
+  DirectConnection real_;
+  bool repeat_;
+  std::vector<BatchRows>* replies_;
+};
+
+TEST(ProxyTest, KeptRowsMatchADedupByRowIdInOrder) {
+  // The proxy keeps a row only from the first batch that covers its
+  // ciphertext. Reference: every reply in order, rows whose ciphertext lies
+  // in the client's encrypted range, first copy of each row id. Overlapping
+  // fakes, multi-range batches and client ranges whose encryption wraps
+  // past the top of the ciphertext space all occur below.
+  for (const bool repeat : {false, true}) {
+    for (const size_t batch : {size_t{1}, size_t{4}, size_t{64}}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) +
+                   (repeat ? ", repeated rows" : ""));
+      MopeSystem system(40 + batch);
+      std::vector<BatchRows> replies;
+      system.set_connection_factory(
+          [&]() -> Result<std::unique_ptr<ServerConnection>> {
+            return std::unique_ptr<ServerConnection>(
+                std::make_unique<RecordingConnection>(system.server(), repeat,
+                                                      &replies));
+          });
+      ASSERT_TRUE(system
+                      .LoadTable("data", MakeSchema(), MakeRows(),
+                                 Spec(QueryMode::kAdaptiveUniform, 0, batch))
+                      .ok());
+      auto proxy = system.GetProxy("data", "key");
+      ASSERT_TRUE(proxy.ok());
+      const uint64_t range = ope::SuggestRange(kDomain);
+      Rng rng(batch);
+      for (int i = 0; i < 30; ++i) {
+        const uint64_t first = rng.UniformUint64(kDomain);
+        const RangeQuery q{
+            first, std::min(kDomain - 1, first + rng.UniformUint64(40))};
+        replies.clear();
+        auto resp = system.Query("data", "key", q);
+        ASSERT_TRUE(resp.ok()) << resp.status();
+        ExpectCorrectAnswer(*resp, q);
+
+        const ModularInterval want = ModularInterval::FromEndpoints(
+            (*proxy)->EncryptValue(q.first).value(),
+            (*proxy)->EncryptValue(q.last).value(), range);
+        std::set<engine::RowId> seen;
+        std::vector<Row> expected;
+        for (const BatchRows& rows : replies) {
+          for (const auto& [rid, row] : rows) {
+            const auto cipher =
+                static_cast<uint64_t>(std::get<int64_t>(row[0]));
+            if (!want.Contains(cipher) || !seen.insert(rid).second) continue;
+            Row plain = row;
+            plain[0] = static_cast<int64_t>(
+                (*proxy)->DecryptValue(cipher).value());
+            expected.push_back(std::move(plain));
+          }
+        }
+        EXPECT_EQ(resp->rows, expected) << "query " << i;
+      }
+    }
+  }
 }
 
 TEST(ProxyTest, ServerOnlySeesCiphertexts) {

@@ -17,7 +17,9 @@
 #     actuals plus the query's cost record, and its srv.engine.{batches_
 #     received,segments_scanned,entries_visited,rows_returned} each
 #     reconcile *exactly* with the matching engine_* delta between two
-#     /metrics scrapes bracketing the statement,
+#     /metrics scrapes bracketing the statement, and the session line's
+#     server_requests equals srv.engine.batches_received (no pipelined
+#     frame lost or duplicated),
 #   - the daemon's sampled query log (--query-log-sample) carries the same
 #     profile, joinable by the EXPLAIN ANALYZE trace id,
 #   - the in-process time-series sampler (--sample-every-ms) accumulates
@@ -279,6 +281,22 @@ for field in $reconciled_fields; do
   echo "smoke_remote: srv.engine.$field reconciles with /metrics" \
        "($profile_value)"
 done
+
+# One reply per request: the pipelined client neither lost nor duplicated a
+# frame if the proxy's request count equals the batches the server
+# received (which the loop above tied to the /metrics delta).
+session_requests="$(echo "$explain_out" |
+    sed -n 's/^ *session: .*server_requests=\([0-9][0-9]*\).*$/\1/p')"
+server_batches="$(echo "$explain_out" |
+    sed -n 's/^ *srv\.engine\.batches_received=\([0-9][0-9]*\)$/\1/p')"
+if [ -z "$session_requests" ] || [ "$session_requests" != "$server_batches" ]; then
+  echo "smoke_remote: session server_requests ($session_requests) !=" \
+       "srv.engine.batches_received ($server_batches)" >&2
+  echo "$explain_out" >&2
+  exit 1
+fi
+echo "smoke_remote: server_requests reconciles with batches_received" \
+     "($session_requests)"
 
 # The sampled query log carries the same profile, joinable by trace id.
 explain_trace="$(echo "$explain_out" |
